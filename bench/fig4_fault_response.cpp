@@ -31,9 +31,9 @@ struct Case {
   heal::UpdatePatch patch;  ///< registry heal (empty target_type = none)
   mc::SearchOrder order = mc::SearchOrder::kRandomWalk;
   /// Extra controller configuration (timeout tuning, TM policy, ...).
-  std::function<void(core::FixdOptions&)> tweak;
+  std::function<void(core::FixdOptions&)> tweak = nullptr;
   /// Environment misbehaviour driving the fault (attached before the run).
-  std::function<void(fault::FaultInjector&)> inject;
+  std::function<void(fault::FaultInjector&)> inject = nullptr;
 };
 
 struct Row {

@@ -5,11 +5,15 @@
 // price of the dynamic action-set feature (guard re-evaluation with
 // injected actions). Plus the daemon-mode rows: RPC round-trip latency
 // (p50/p99) against an in-process fixdd over a unix socket, clean and under
-// the deterministic fault shim, and the checkpoint/resume overhead of
-// sliced investigations. google-benchmark binary.
+// the deterministic fault shim, and the overhead of journaling durable
+// checkpoints of a live investigation. google-benchmark binary; exits
+// nonzero when the checkpoint-overhead gate (BM_CheckpointOverheadGate)
+// fails.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <thread>
 
 #include "common/io.hpp"
@@ -222,9 +226,32 @@ void BM_DaemonSubmitResult(benchmark::State& state) {
   }
 }
 
-// Checkpoint/resume overhead: the same investigation run uninterrupted
-// (checkpoint_states = 0) vs sliced every N states with the visited set
-// spilled to a SortedRun and the frontier journaled — the durability tax.
+/// Journals every checkpoint the way fixdd does: the visited delta as a
+/// durable run, then the kCheckpoint record (delta run, new violations,
+/// front-coded frontier). Returns the callbacks and counts checkpoints.
+svc::RunCallbacks journaling(svc::JobJournal& journal,
+                             std::uint64_t& checkpoints) {
+  svc::RunCallbacks cb;
+  cb.on_checkpoint = [&journal, &checkpoints](const svc::CheckpointState& ck) {
+    svc::JournalRecord rec;
+    rec.type = svc::JournalRecordType::kCheckpoint;
+    rec.checkpoint_seq = ck.slices - 1;
+    rec.visited = journal.write_visited_run(rec.checkpoint_seq, ck.visited);
+    rec.frontier = ck.frontier;
+    rec.stats = ck.stats;
+    rec.violations = ck.violations;
+    journal.append(rec);
+    ++checkpoints;
+    return true;
+  };
+  return cb;
+}
+
+// Checkpoint overhead: the same investigation run uninterrupted
+// (checkpoint_states = 0) vs checkpointed every N states, each checkpoint
+// journaled durably (visited delta run + record, fsynced) — the durability
+// tax on tiny n=4 slices, where a checkpoint every 64 states pays three
+// fsyncs per ~1.5 ms of search.
 void BM_CheckpointedInvestigation(benchmark::State& state) {
   const std::uint64_t every = static_cast<std::uint64_t>(state.range(0));
   const svc::ScenarioRegistry registry = svc::ScenarioRegistry::with_builtins();
@@ -239,29 +266,63 @@ void BM_CheckpointedInvestigation(benchmark::State& state) {
   std::uint64_t checkpoints = 0;
   for (auto _ : state) {
     svc::JobJournal journal(scratch.path(), 1);
-    std::uint64_t seq = 0;
-    svc::RunCallbacks cb;
-    cb.on_checkpoint = [&](const svc::CheckpointState& ck) {
-      svc::JournalRecord rec;
-      rec.type = svc::JournalRecordType::kCheckpoint;
-      rec.checkpoint_seq = ++seq;
-      rec.visited = journal.write_visited_run(seq, ck.visited);
-      rec.frontier = ck.frontier;
-      rec.stats = ck.stats;
-      rec.violations = ck.violations;
-      journal.append(rec);
-      ++checkpoints;
-      return true;
-    };
-    svc::JobResultMsg r =
-        svc::run_investigation(*fam, spec, nullptr, every > 0 ? cb
-                                                              : svc::RunCallbacks{});
+    svc::JobResultMsg r = svc::run_investigation(
+        *fam, spec, nullptr,
+        every > 0 ? journaling(journal, checkpoints) : svc::RunCallbacks{});
     benchmark::DoNotOptimize(r.visited_digest);
   }
   state.counters["ckpts"] =
       static_cast<double>(checkpoints / state.iterations());
   state.SetLabel(every == 0 ? "uninterrupted" : "every " +
                                                     std::to_string(every));
+}
+
+/// Checkpointed / uninterrupted wall-time ratios of the gated pair below.
+std::vector<double> g_gate_ratios;
+std::uint64_t g_gate_checkpoints = 0;
+
+// The checkpoint-overhead gate: a fixdd job of the service benchmark's
+// largest kind (two-pc n=5 v2, trail frontier, 512-state cadence: 15
+// checkpoints) run uninterrupted and journaled back to back, in
+// alternating order, once per iteration. main() fails the run when the
+// median ratio exceeds kMaxCheckpointOverhead.
+void BM_CheckpointOverheadGate(benchmark::State& state) {
+  const svc::ScenarioRegistry registry = svc::ScenarioRegistry::with_builtins();
+  const svc::ScenarioFamily* fam = registry.find("two-pc");
+  svc::JobSpec spec;
+  spec.scenario = "two-pc";
+  spec.n = 5;
+  spec.version = 2;
+  spec.trail_frontier = true;
+  spec.max_states = 200000;
+  spec.checkpoint_states = 512;
+  svc::JobSpec plain = spec;
+  plain.checkpoint_states = 0;
+  ScratchDir scratch = ScratchDir::create("", "fig7-gate");
+  std::uint64_t job = 0;
+  for (auto _ : state) {
+    double ms[2] = {0, 0};
+    for (int k = 0; k < 2; ++k) {
+      const bool journaled = (k + g_gate_ratios.size()) % 2 == 1;
+      svc::JobJournal journal(scratch.path(), ++job);
+      std::uint64_t checkpoints = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      svc::JobResultMsg r = svc::run_investigation(
+          *fam, journaled ? spec : plain, nullptr,
+          journaled ? journaling(journal, checkpoints) : svc::RunCallbacks{});
+      ms[journaled] = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+      benchmark::DoNotOptimize(r.visited_digest);
+      if (journaled) g_gate_checkpoints = checkpoints;
+    }
+    g_gate_ratios.push_back(ms[1] / ms[0]);
+  }
+  std::vector<double> sorted = g_gate_ratios;
+  std::sort(sorted.begin(), sorted.end());
+  state.counters["ratio_p50"] = sorted[sorted.size() / 2];
+  state.counters["ckpts"] = static_cast<double>(g_gate_checkpoints);
+  state.SetLabel("n=5 every 512, journaled / uninterrupted");
 }
 
 }  // namespace
@@ -305,4 +366,27 @@ BENCHMARK(BM_CheckpointedInvestigation)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.5);
 
-BENCHMARK_MAIN();
+BENCHMARK(BM_CheckpointOverheadGate)
+    ->Iterations(9)
+    ->Unit(benchmark::kMillisecond);
+
+// The roadmap's bar for checkpoint cost: journaling 15 checkpoints may add
+// at most a quarter to the search's wall time.
+constexpr double kMaxCheckpointOverhead = 1.25;
+
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  if (g_gate_ratios.empty()) return 0;  // gate filtered out
+  std::sort(g_gate_ratios.begin(), g_gate_ratios.end());
+  const double median = g_gate_ratios[g_gate_ratios.size() / 2];
+  const bool ok = median <= kMaxCheckpointOverhead && g_gate_checkpoints == 15;
+  std::printf("checkpoint overhead gate: median %.3fx over %zu pairs at %llu "
+              "checkpoints (bar <= %.2fx at 15): %s\n",
+              median, g_gate_ratios.size(),
+              static_cast<unsigned long long>(g_gate_checkpoints),
+              kMaxCheckpointOverhead, ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
+}

@@ -85,20 +85,42 @@ inline std::uint64_t hash_bytes(std::span<const std::byte> bytes,
 /// return value as `crc` to continue over a split buffer.
 inline std::uint32_t crc32(std::span<const std::byte> bytes,
                            std::uint32_t crc = 0) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: eight tables let the loop fold 8 input bytes per step
+  // (journal checkpoint records run to ~100 KiB). t[0] is the classic
+  // bytewise table; t[k][i] advances t[k-1][i] by one more zero byte.
+  using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+  static const Tables t = [] {
+    Tables tt{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
       }
-      t[i] = c;
+      tt[0][i] = c;
     }
-    return t;
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (std::size_t k = 1; k < 8; ++k) {
+        tt[k][i] = (tt[k - 1][i] >> 8) ^ tt[0][tt[k - 1][i] & 0xffu];
+      }
+    }
+    return tt;
   }();
   crc = ~crc;
-  for (const std::byte b : bytes) {
-    crc = table[(crc ^ static_cast<std::uint8_t>(b)) & 0xffu] ^ (crc >> 8);
+  const std::byte* p = bytes.data();
+  std::size_t n = bytes.size();
+  const auto byte_at = [&](std::size_t i) {
+    return static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i]));
+  };
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo =
+        crc ^ (byte_at(0) | byte_at(1) << 8 | byte_at(2) << 16 |
+               byte_at(3) << 24);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][byte_at(4)] ^
+          t[2][byte_at(5)] ^ t[1][byte_at(6)] ^ t[0][byte_at(7)];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    crc = t[0][(crc ^ byte_at(i)) & 0xffu] ^ (crc >> 8);
   }
   return ~crc;
 }

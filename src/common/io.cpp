@@ -1,5 +1,6 @@
 #include "common/io.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -64,6 +65,17 @@ void flush_and_sync(std::FILE* f, const std::filesystem::path& path) {
   if (::fsync(fileno(f)) != 0) {
     throw IoError("fsync failed for " + path.string(), errno);
   }
+}
+
+void sync_dir(const std::filesystem::path& dir) {
+  errno = 0;
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) throw IoError("open directory " + dir.string(), errno);
+  errno = 0;
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) throw IoError("fsync failed for directory " + dir.string(), err);
 }
 
 }  // namespace io_detail
@@ -174,7 +186,7 @@ void SortedRunWriter::append(const std::uint64_t* keys, std::size_t n) {
                             "SortedRunWriter append");
 }
 
-SortedRunWriter::Finished SortedRunWriter::finish() {
+SortedRunWriter::Finished SortedRunWriter::finish(bool durable) {
   FIXD_CHECK(f_ != nullptr);
   BinaryWriter w;
   w.write_u32(kRunMagic);
@@ -188,10 +200,14 @@ SortedRunWriter::Finished SortedRunWriter::finish() {
     }
     io_detail::checked_fwrite(w.bytes().data(), w.bytes().size(), f_, tmp_,
                               "SortedRunWriter finish");
-    errno = 0;
-    if (std::fflush(f_) != 0) {
-      throw IoError("SortedRunWriter: flush failed for " + tmp_.string(),
-                    errno);
+    if (durable) {
+      io_detail::flush_and_sync(f_, tmp_);
+    } else {
+      errno = 0;
+      if (std::fflush(f_) != 0) {
+        throw IoError("SortedRunWriter: flush failed for " + tmp_.string(),
+                      errno);
+      }
     }
   } catch (...) {
     std::fclose(f_);
@@ -210,6 +226,7 @@ SortedRunWriter::Finished SortedRunWriter::finish() {
     throw IoError("SortedRunWriter: rename to " + final_.string() + " failed",
                   ec.value());
   }
+  if (durable) io_detail::sync_dir(final_.parent_path());
   Finished out;
   out.count = count_;
   out.file_bytes = kRunHeaderBytes + count_ * 8;
@@ -244,7 +261,18 @@ SortedRunReader::SortedRunReader(fs::path path, std::vector<std::uint64_t> fence
     throw SerializationError("SortedRunReader: bad magic/version in " +
                              path_.string());
   }
-  file_bytes_ = kRunHeaderBytes + count_ * 8;
+  // A count no file could hold is as malformed as a short file; checking
+  // it first keeps count_ * 8 from overflowing.
+  std::error_code ec;
+  const std::uint64_t on_disk = fs::file_size(path_, ec);
+  if (ec || count_ > (on_disk - kRunHeaderBytes) / 8 ||
+      on_disk != kRunHeaderBytes + count_ * 8) {
+    std::fclose(f_);
+    f_ = nullptr;
+    throw SerializationError("SortedRunReader: size does not match the "
+                             "header count in " + path_.string());
+  }
+  file_bytes_ = on_disk;
   std::size_t want_fence =
       (count_ + kSortedRunFenceStride - 1) / kSortedRunFenceStride;
   if (fence_.size() != want_fence) {
@@ -266,7 +294,7 @@ void SortedRunReader::read_block(std::uint64_t first_entry, std::size_t n,
   bool ok = std::fseek(f_, static_cast<long>(kRunHeaderBytes + first_entry * 8),
                        SEEK_SET) == 0 &&
             std::fread(raw.data(), 1, raw.size(), f_) == raw.size();
-  FIXD_CHECK_MSG(ok, "SortedRunReader: block read failed in " + path_.string());
+  if (!ok) throw IoError("SortedRunReader: block read failed in " + path_.string());
   BinaryReader r({raw.data(), raw.size()});
   for (std::size_t i = 0; i < n; ++i) out[i] = r.read_u64();
 }

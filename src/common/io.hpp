@@ -55,6 +55,11 @@ void checked_fwrite(const void* data, std::size_t n, std::FILE* f,
 /// durability point — a crash after this call cannot lose the bytes.
 void flush_and_sync(std::FILE* f, const std::filesystem::path& path);
 
+/// fsync a directory, making the entries created or renamed in it durable
+/// (a new file's bytes can be synced and still vanish with its name).
+/// IoError on failure.
+void sync_dir(const std::filesystem::path& dir);
+
 }  // namespace io_detail
 
 /// A uniquely-named temporary directory removed (recursively) on destruction.
@@ -116,7 +121,10 @@ class SortedRunWriter {
   };
 
   /// Flush, patch the header, rename into place, and return the fence index.
-  Finished finish();
+  /// `durable` additionally fsyncs the file before the rename and its
+  /// directory after it, so the run survives a crash once finish() returns
+  /// (the job journal needs this; the explorer's scratch spill does not).
+  Finished finish(bool durable = false);
 
  private:
   std::FILE* f_ = nullptr;
@@ -135,8 +143,9 @@ class SortedRunWriter {
 /// its stripe mutex.
 class SortedRunReader {
  public:
-  /// Opens the run and validates the header. Throws FixdError/
-  /// SerializationError on a missing or malformed file.
+  /// Opens the run and validates the header, the fence length and the file
+  /// size against the header count. Throws IoError on a missing file and
+  /// SerializationError on a malformed or truncated one.
   SortedRunReader(std::filesystem::path path, std::vector<std::uint64_t> fence);
   ~SortedRunReader();
 

@@ -17,7 +17,7 @@ bool in_group(const std::vector<ProcessId>& g, ProcessId p) {
 
 std::size_t FaultInjector::add(FaultSpec spec) {
   const std::uint64_t seed = spec.seed;
-  Armed a{std::move(spec), Rng(seed), false};
+  Armed a{.spec = std::move(spec), .rng = Rng(seed)};
   faults_.push_back(std::move(a));
   return faults_.size() - 1;
 }

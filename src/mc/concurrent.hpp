@@ -465,6 +465,13 @@ class StealableDeque {
     return true;
   }
 
+  /// Visit every element front to back without removing it.
+  template <typename F>
+  void for_each(F&& f) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const T& v : q_) f(v);
+  }
+
   /// Thief pop: the end opposite the owner's (`owner_lifo` says which end
   /// the owner uses), so stealing disturbs the owner's order least.
   bool steal(T& out, bool owner_lifo) {

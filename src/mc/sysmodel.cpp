@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -345,16 +347,29 @@ struct SystemExplorer::Shared {
   std::atomic<std::uint64_t> violation_count{0};
   std::atomic<std::size_t> active{0};
   std::atomic<bool> stop{false};
-  /// Clean-boundary pause (opts.pause_check): unlike `stop`, workers do
-  /// NOT abandon an in-flight expansion — they finish pushing (or
-  /// deduping) every child, then stop popping and return, leaving the
-  /// un-expanded frontier parked in the worker deques for capture.
-  std::atomic<bool> paused{false};
+
+  /// Checkpoint barrier (opts.checkpoint). Unlike `stop`, a pending
+  /// checkpoint does NOT abandon in-flight expansions: each worker finishes
+  /// pushing (or deduping) every child, then parks before its next pop.
+  /// The last worker to park runs the hook over the quiescent frontier and
+  /// releases the rest by bumping `ck_epoch`. `live` counts workers still
+  /// inside worker_loop, so one that leaves (search done or stopped) never
+  /// strands the others at the barrier.
+  std::atomic<bool> ck_pending{false};
+  /// sh.states at the previous checkpoint (the cadence baseline).
+  std::atomic<std::uint64_t> ck_base{0};
+  std::mutex ck_mu;
+  std::condition_variable ck_cv;
+  std::size_t ck_parked = 0;
+  std::size_t live = 0;
+  std::uint64_t ck_epoch = 0;
 
   /// First worker exception, re-thrown on the coordinating thread after
   /// join (an exception escaping a std::thread would terminate).
   std::mutex err_mu;
   std::string error;
+  /// An exception thrown by the checkpoint hook, re-thrown as is.
+  std::exception_ptr hook_error;
 
   std::vector<std::unique_ptr<Worker>> workers;
 };
@@ -378,6 +393,10 @@ struct SystemExplorer::Worker {
   std::deque<PathNode> arena;
   ExploreStats stats;
   std::vector<SysViolation> violations;
+  /// Checkpointing: digests this worker first inserted since the previous
+  /// checkpoint, and how many of `violations` were already handed out.
+  std::vector<std::uint64_t> fresh;
+  std::size_t violations_reported = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -855,32 +874,34 @@ void SystemExplorer::por_race_detect(PorState& ps, const Node& cur,
 }
 
 Trail SystemExplorer::trail_of(const PathNode* path) {
+  // Two walks up the parent chain: one to size the trail, one to fill it
+  // back to front (checkpoints copy the whole frontier this way).
+  std::size_t len = 0;
+  for (const PathNode* p = path; p != nullptr; p = p->parent) ++len;
   Trail t;
+  t.steps.resize(len);
   for (const PathNode* p = path; p != nullptr; p = p->parent) {
-    t.steps.push_back(p->action);
+    t.steps[--len] = p->action;
   }
-  std::reverse(t.steps.begin(), t.steps.end());
   return t;
 }
 
-void SystemExplorer::check_pause_resume_options() const {
-  if (!opts_.pause_check && !opts_.capture_frontier &&
-      !opts_.resume_from_checkpoint) {
-    return;
-  }
+void SystemExplorer::check_checkpoint_options() const {
+  if (!checkpointing() && !opts_.resume_from_checkpoint) return;
   if (opts_.order != SearchOrder::kBfs && opts_.order != SearchOrder::kDfs) {
     throw ConfigError(
-        "pause/resume: only kBfs/kDfs graph searches are sliceable "
-        "(kPriority/kRandomWalk pop order is not checkpoint-stable)");
+        "checkpoint/resume: only kBfs/kDfs graph searches are "
+        "checkpointable (kPriority/kRandomWalk pop order is not "
+        "checkpoint-stable)");
   }
   if (!opts_.dedup) {
     throw ConfigError(
-        "pause/resume requires dedup: visited-set identity "
+        "checkpoint/resume requires dedup: visited-set identity "
         "(preseed ∪ reachable-from-frontier) is the resume contract");
   }
   if (opts_.sleep_sets || opts_.por) {
     throw ConfigError(
-        "pause/resume: sleep_sets/por carry traversal-order-sensitive "
+        "checkpoint/resume: sleep_sets/por carry traversal-order-sensitive "
         "state that a checkpoint does not capture");
   }
   if (opts_.resume_from_checkpoint && opts_.resume_visited.empty()) {
@@ -912,8 +933,8 @@ std::vector<SystemExplorer::Node> SystemExplorer::resume_nodes(
 }
 
 SysExploreResult SystemExplorer::explore() {
-  auto t0 = SteadyClock::now();
-  check_pause_resume_options();
+  started_ = SteadyClock::now();
+  check_checkpoint_options();
   SysExploreResult res;
   // Anchor eviction needs a replay recipe per node, which only trail-mode
   // graph searches have; snapshot mode ignores the frontier budget.
@@ -929,7 +950,7 @@ SysExploreResult SystemExplorer::explore() {
   } else {
     res = graph_search();
   }
-  res.stats.wall_ms = ms_since(t0);
+  res.stats.wall_ms = ms_since(started_);
   return res;
 }
 
@@ -966,8 +987,13 @@ SysExploreResult SystemExplorer::graph_search() {
     tiered = std::make_unique<TieredVisitedSet>(opts_.visited_budget_bytes,
                                                 spill_scratch.path());
   }
+  // Checkpointing records every first insert: the next checkpoint's delta.
+  const bool ckpt = checkpointing();
+  std::vector<std::uint64_t> fresh;
   auto visited_insert = [&](std::uint64_t h) {
-    return use_tier ? tiered->insert(h) : visited.insert(h);
+    const bool fresh_state = use_tier ? tiered->insert(h) : visited.insert(h);
+    if (fresh_state && ckpt) fresh.push_back(h);
+    return fresh_state;
   };
   PorState por;
   std::vector<Node> backtracks;
@@ -986,8 +1012,8 @@ SysExploreResult SystemExplorer::graph_search() {
   std::vector<HeapEntry> pq;
   std::deque<Node> fifo;
 
-  // Resume slices do not re-probe (or re-count) the root: the first slice
-  // already did, and the checkpointed stats accumulate across slices.
+  // A resumed search does not re-probe (or re-count) the root: the
+  // original run already did, and its checkpointed stats carry the count.
   if (!opts_.resume_from_checkpoint && !probe_root(res)) return res;
 
   FrontierMeter meter;
@@ -1009,6 +1035,7 @@ SysExploreResult SystemExplorer::graph_search() {
       // children re-reaching pre-crash states dedup against it exactly as
       // the uninterrupted run deduped against its own history.
       for (std::uint64_t h : opts_.resume_visited) visited_insert(h);
+      fresh.clear();  // preseeds are not new work
     } else {
       const std::uint64_t h =
           timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
@@ -1081,13 +1108,31 @@ SysExploreResult SystemExplorer::graph_search() {
     }
   };
 
+  // In-place checkpoint at the clean boundary before a pop (see
+  // SysCheckpointHook). Only kBfs/kDfs get here, so `fifo` is the frontier.
+  std::uint64_t ckpt_base = 0;
+  std::size_t violations_reported = 0;
+  auto checkpoint = [&]() {
+    SysCheckpoint ck;
+    std::sort(fresh.begin(), fresh.end());
+    ck.new_visited.swap(fresh);
+    ck.new_violations.assign(res.violations.begin() + violations_reported,
+                             res.violations.end());
+    violations_reported = res.violations.size();
+    // Front to back: resume's push_back sequence restores the identical
+    // pop order for both kBfs (pop_front) and kDfs (pop_back).
+    ck.frontier.reserve(fifo.size());
+    for (const Node& nd : fifo) ck.frontier.push_back(trail_of(nd.path));
+    ck.stats = res.stats;
+    ck.stats.wall_ms = ms_since(started_);
+    ckpt_base = res.stats.states;
+    return opts_.checkpoint.fn(ck);
+  };
+
   while (true) {
-    // Pause only with work left: a pause on an empty frontier would read
-    // as a resumable checkpoint when the search is in fact complete.
-    if (opts_.pause_check &&
-        !(opts_.order == SearchOrder::kPriority ? pq.empty() : fifo.empty()) &&
-        opts_.pause_check(res.stats)) {
-      res.paused = true;
+    if (ckpt && !fifo.empty() &&
+        res.stats.states - ckpt_base >= opts_.checkpoint.every_states &&
+        !checkpoint()) {
       break;
     }
     Node cur;
@@ -1281,13 +1326,6 @@ SysExploreResult SystemExplorer::graph_search() {
       push_frontier(std::move(child), pri);
     }
   }
-  if (res.paused && opts_.capture_frontier) {
-    // Front-to-back deque order: resume's push_back sequence restores the
-    // identical pop order for both kBfs (pop_front) and kDfs (pop_back).
-    // Capture happens ONLY at a pause — a budget truncation returns
-    // mid-expansion and would lose the popped node's unexpanded children.
-    for (const Node& nd : fifo) res.frontier.push_back(trail_of(nd.path));
-  }
   finish();
   return res;
 }
@@ -1462,6 +1500,8 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
         // published to a frontier node; the Trail copied its actions.
         if (path) me.arena.pop_back();
         continue;
+      } else if (checkpointing()) {
+        me.fresh.push_back(h);
       }
     }
     if (!reexpand_child) {
@@ -1511,21 +1551,19 @@ void SystemExplorer::worker_loop(Shared& sh, Worker& me) {
   std::size_t idle_rounds = 0;
   while (true) {
     if (sh.stop.load(std::memory_order_acquire)) return;
-    // Clean-boundary pause: checked BEFORE popping, so a paused worker
-    // parks its remaining frontier untouched (in-flight expansions on
-    // other workers still complete and push their children). pause_check
-    // doubles as the lease heartbeat, so it is polled on idle iterations
-    // too. The probe's `states` is the slice-wide shared total — states
-    // are counted in sh.states, not per worker, and the checkpoint
-    // threshold is defined over the whole slice's progress.
-    if (sh.paused.load(std::memory_order_acquire)) return;
-    if (opts_.pause_check) {
-      ExploreStats probe = me.stats;
-      probe.states = sh.states.load(std::memory_order_relaxed);
-      if (opts_.pause_check(probe)) {
-        sh.paused.store(true, std::memory_order_release);
-        return;
-      }
+    // Checkpoint boundary: checked BEFORE popping, on idle iterations too,
+    // so every worker parks with its deque untouched once one of them has
+    // seen the shared state count cross the cadence (states are counted in
+    // sh.states, not per worker).
+    if (checkpointing() && !sh.ck_pending.load(std::memory_order_acquire) &&
+        sh.states.load(std::memory_order_relaxed) -
+                sh.ck_base.load(std::memory_order_relaxed) >=
+            opts_.checkpoint.every_states) {
+      sh.ck_pending.store(true, std::memory_order_release);
+    }
+    if (sh.ck_pending.load(std::memory_order_acquire)) {
+      park(sh);
+      continue;
     }
     Node cur;
     bool got = false;
@@ -1599,6 +1637,83 @@ void SystemExplorer::worker_loop(Shared& sh, Worker& me) {
   }
 }
 
+void SystemExplorer::park(Shared& sh) {
+  std::unique_lock<std::mutex> lk(sh.ck_mu);
+  const std::uint64_t epoch = sh.ck_epoch;
+  if (++sh.ck_parked == sh.live) {
+    checkpoint_parked(sh);
+    return;
+  }
+  sh.ck_cv.wait(lk, [&] { return sh.ck_epoch != epoch; });
+}
+
+void SystemExplorer::leave(Shared& sh) {
+  std::lock_guard<std::mutex> lk(sh.ck_mu);
+  --sh.live;
+  if (sh.live > 0 && sh.ck_parked == sh.live &&
+      sh.ck_pending.load(std::memory_order_acquire)) {
+    checkpoint_parked(sh);
+  }
+}
+
+// Called with ck_mu held and every live worker parked: no expansion is in
+// flight, so the deques hold the whole frontier and `active` counts it.
+void SystemExplorer::checkpoint_parked(Shared& sh) {
+  if (!sh.stop.load(std::memory_order_acquire) &&
+      sh.active.load(std::memory_order_acquire) > 0) {
+    SysCheckpoint ck;
+    for (auto& wk : sh.workers) {
+      ck.new_visited.insert(ck.new_visited.end(), wk->fresh.begin(),
+                            wk->fresh.end());
+      wk->fresh.clear();
+      ck.new_violations.insert(
+          ck.new_violations.end(),
+          wk->violations.begin() +
+              static_cast<std::ptrdiff_t>(wk->violations_reported),
+          wk->violations.end());
+      wk->violations_reported = wk->violations.size();
+      wk->deque.for_each(
+          [&](const Node& nd) { ck.frontier.push_back(trail_of(nd.path)); });
+    }
+    std::sort(ck.new_visited.begin(), ck.new_visited.end());
+    merge_counters(sh, ck.stats);
+    ck.stats.wall_ms = ms_since(started_);
+    // The hook may throw (a failed journal write): carry it to the
+    // coordinating thread unchanged, and stop the search.
+    bool go_on = false;
+    try {
+      go_on = opts_.checkpoint.fn(ck);
+    } catch (...) {
+      sh.hook_error = std::current_exception();
+    }
+    if (!go_on) sh.stop.store(true, std::memory_order_release);
+  }
+  sh.ck_base.store(sh.states.load());
+  sh.ck_pending.store(false, std::memory_order_release);
+  sh.ck_parked = 0;
+  ++sh.ck_epoch;
+  sh.ck_cv.notify_all();
+}
+
+void SystemExplorer::merge_counters(const Shared& sh, ExploreStats& out) {
+  out.states = sh.states.load();
+  for (const auto& wk : sh.workers) {
+    out.transitions += wk->stats.transitions;
+    out.duplicates += wk->stats.duplicates;
+    out.max_depth = std::max(out.max_depth, wk->stats.max_depth);
+    out.truncated = out.truncated || wk->stats.truncated;
+    out.digest_ms += wk->stats.digest_ms;
+    out.snapshot_ms += wk->stats.snapshot_ms;
+    out.replayed_actions += wk->stats.replayed_actions;
+    out.anchor_recomputes += wk->stats.anchor_recomputes;
+    out.steals += wk->stats.steals;
+    out.sleep_reexpansions += wk->stats.sleep_reexpansions;
+    out.por_deferred += wk->stats.por_deferred;
+    out.por_backtracks += wk->stats.por_backtracks;
+  }
+  out.workers = sh.workers.size();
+}
+
 SysExploreResult SystemExplorer::graph_search_parallel() {
   SysExploreResult res;
   if (!opts_.resume_from_checkpoint && !probe_root(res)) return res;
@@ -1621,6 +1736,7 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
     sh.tiered = std::make_unique<TieredVisitedSet>(
         opts_.visited_budget_bytes, sh.spill_scratch.path());
   }
+  std::vector<std::uint64_t> root_fresh;  // the first checkpoint's delta
   if (opts_.dedup) {
     if (opts_.resume_from_checkpoint) {
       for (std::uint64_t h : opts_.resume_visited) {
@@ -1633,6 +1749,7 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
     } else {
       const std::uint64_t h =
           timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
+      if (checkpointing()) root_fresh.push_back(h);
       if (use_sleepvis) {
         std::vector<std::uint64_t> none;  // the root has no sleep set
         sh.sleepvis.visit(h, none);
@@ -1645,6 +1762,7 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
   }
   if (opts_.por) sh.por.root = root_anchor;
   sh.states.store(res.stats.states);  // the probed root
+  sh.ck_base.store(0);
   // Root violations count against the budget exactly as in the
   // sequential search.
   sh.violation_count.store(res.violations.size());
@@ -1663,12 +1781,18 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
     wk->meter.set_charge_snapshots(reg_ == nullptr);
     sh.workers.push_back(std::move(wk));
   }
+  sh.workers[0]->fresh = std::move(root_fresh);
+  // Root violations belong to the first checkpoint's delta, like the root
+  // digest; they are merged into the result ahead of every worker's.
+  std::vector<SysViolation> root_violations = std::move(res.violations);
+  res.violations.clear();
+  sh.workers[0]->violations = std::move(root_violations);
 
   if (opts_.resume_from_checkpoint) {
     // Re-plant the checkpoint frontier round-robin. Path chains go into
     // worker 0's arena (pre-thread, so single-writer holds); readers
     // reach them through the frontier-deque mutexes as usual. kPriority
-    // is rejected by check_pause_resume_options, so deques suffice.
+    // is rejected by check_checkpoint_options, so deques suffice.
     std::vector<Node> nodes = resume_nodes(root_anchor, sh.workers[0]->arena);
     sh.active.store(nodes.size());
     std::size_t wi = 0;
@@ -1693,39 +1817,30 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
   {
     std::vector<std::thread> threads;
     threads.reserve(n_workers);
+    sh.live = n_workers;
     for (std::size_t i = 0; i < n_workers; ++i) {
-      threads.emplace_back([this, &sh, i] { worker_loop(sh, *sh.workers[i]); });
+      threads.emplace_back([this, &sh, i] {
+        worker_loop(sh, *sh.workers[i]);
+        leave(sh);
+      });
     }
     for (auto& t : threads) t.join();
   }
+  if (sh.hook_error) std::rethrow_exception(sh.hook_error);
   if (!sh.error.empty()) {
     throw FixdError("parallel explorer worker failed: " + sh.error);
   }
 
   // Merge. The shared counter is the state total (root included); timing
   // counters sum across workers (CPU time, can exceed wall time).
-  res.stats.states = sh.states.load();
+  merge_counters(sh, res.stats);
   for (const auto& wk : sh.workers) {
-    res.stats.transitions += wk->stats.transitions;
-    res.stats.duplicates += wk->stats.duplicates;
-    res.stats.max_depth =
-        std::max(res.stats.max_depth, wk->stats.max_depth);
-    res.stats.truncated = res.stats.truncated || wk->stats.truncated;
-    res.stats.digest_ms += wk->stats.digest_ms;
-    res.stats.snapshot_ms += wk->stats.snapshot_ms;
-    res.stats.replayed_actions += wk->stats.replayed_actions;
-    res.stats.anchor_recomputes += wk->stats.anchor_recomputes;
-    res.stats.steals += wk->stats.steals;
-    res.stats.sleep_reexpansions += wk->stats.sleep_reexpansions;
-    res.stats.por_deferred += wk->stats.por_deferred;
-    res.stats.por_backtracks += wk->stats.por_backtracks;
     // Sum-of-peaks upper bound plus the largest single-worker share.
     res.stats.peak_frontier_bytes += wk->meter.peak();
     res.stats.peak_frontier_bytes_max_worker =
         std::max(res.stats.peak_frontier_bytes_max_worker, wk->meter.peak());
     for (auto& v : wk->violations) res.violations.push_back(std::move(v));
   }
-  res.stats.workers = n_workers;
   // Violations arrive in nondeterministic worker order; re-sort into a
   // stable shape (shallowest first, ties by invariant name). The count may
   // exceed max_violations by the few found concurrently with the stop.
@@ -1757,18 +1872,6 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
     res.visited = use_sleepvis  ? sh.sleepvis.sorted_contents()
                   : sh.tiered ? sh.tiered->sorted_contents()
                               : sh.visited.sorted_contents();
-  }
-  // A pause that raced a hard stop (budget/violation cap) is NOT a clean
-  // boundary — stop abandons in-flight children — so it is not reported
-  // as paused and nothing is captured.
-  res.paused = sh.paused.load() && !sh.stop.load();
-  if (res.paused && opts_.capture_frontier) {
-    for (auto& wk : sh.workers) {
-      Node nd;
-      while (wk->deque.pop_front(nd)) {
-        res.frontier.push_back(trail_of(nd.path));
-      }
-    }
   }
   return res;
 }
@@ -1804,7 +1907,7 @@ SysExploreResult SystemExplorer::random_walk() {
       apply_action(w, a);
       ++stats.transitions;
       ++stats.states;
-      arena.push_back({cur_path, a});
+      arena.push_back({cur_path, a, ActionFootprint{}, 0});
       cur_path = &arena.back();
       stats.max_depth = std::max<std::uint64_t>(stats.max_depth, d + 1);
       if (!w.violations().empty()) {

@@ -19,6 +19,7 @@
 // (the example apps export exactly such installers).
 #pragma once
 
+#include <chrono>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -67,6 +68,39 @@ struct ActionFootprint {
   static std::uint64_t proc_bit(ProcessId p) {
     return std::uint64_t{1} << (p < 63 ? p : 63);
   }
+};
+
+/// What one in-place checkpoint hands to SysCheckpointHook::fn. Folding
+/// every checkpoint's deltas (plus the resume preseed, if any) and taking
+/// the latest frontier gives exactly the state resume_from_checkpoint
+/// accepts.
+struct SysCheckpoint {
+  /// Canonical digests first inserted into the visited set since the
+  /// previous checkpoint, sorted ascending (the first checkpoint of a fresh
+  /// search includes the root's; resume preseeds are never reported).
+  std::vector<std::uint64_t> new_visited;
+  /// Violations found since the previous checkpoint, in report order.
+  std::vector<SysViolation> new_violations;
+  /// The live frontier, copied (not drained) as root-relative trails in
+  /// resume order: deque front to back, workers in id order.
+  std::vector<Trail> frontier;
+  /// This explore() call's counters so far (states, transitions, ...; the
+  /// peaks and gauges are filled in only by the final result).
+  ExploreStats stats;
+};
+
+/// The service layer's checkpoint hook. Once at least `every_states` new
+/// states have been counted since the previous checkpoint (the root
+/// included), the search stops popping at the next clean node boundary —
+/// every in-flight expansion has pushed or deduped all its children, so no
+/// node is lost or half-done — and `fn` runs in place, on one thread, with
+/// every worker parked. The search then continues from the same live
+/// frontier; `fn` returning false stops it there instead (cancel, fencing,
+/// drain). No checkpoint is taken on an empty frontier: that search is
+/// complete.
+struct SysCheckpointHook {
+  std::uint64_t every_states = 0;
+  std::function<bool(SysCheckpoint&)> fn;
 };
 
 struct SysExploreOptions {
@@ -230,13 +264,14 @@ struct SysExploreOptions {
   /// Registers invariants (and anything else detection needs) on a world.
   std::function<void(rt::World&)> install_invariants;
 
-  // --- Pause / capture / resume (the service layer's durability hooks) ----
+  // --- Checkpoint / resume (the service layer's durability hooks) --------
   //
   // A dedup'd exhaustive graph search has an order-independent final
   // visited set: preseed ∪ reachable-from-frontier. That makes a search
-  // *sliceable* — stop at a clean node boundary, capture {visited,
-  // frontier-as-trails}, and a later explorer (even in a fresh process)
-  // resumes to the identical final visited set; sequential BFS/DFS
+  // *checkpointable* — at a clean node boundary, hand out {new visited
+  // digests, new violations, frontier-as-trails} and keep going; a later
+  // explorer (even in a fresh process) that folds every checkpoint so far
+  // resumes to the identical final visited set, and sequential BFS/DFS
   // additionally preserve the exact pop order, so violation trails come
   // back byte-identical. src/svc/jobd.cpp builds durable, kill -9
   // survivable investigation jobs on exactly this contract.
@@ -245,29 +280,17 @@ struct SysExploreOptions {
   // sleep_sets/por off (those carry traversal-order-sensitive extra
   // state); explore() throws ConfigError otherwise.
 
-  /// Polled once per frontier pop (per worker when workers > 1 — must be
-  /// thread-safe then). The stats it receives carry the slice-wide
-  /// `states` total (shared across workers) with the polling worker's
-  /// other counters, so a `states >= N` threshold means the same thing
-  /// at any worker count. Returning
-  /// true pauses the search at the current clean node boundary:
-  /// in-flight expansions complete (their children are pushed or deduped,
-  /// never dropped), then SysExploreResult::paused is set. Also the
-  /// service heartbeat: jobd's lease supervision feeds off these calls.
-  std::function<bool(const ExploreStats&)> pause_check;
+  /// In-place checkpoints (see SysCheckpointHook). Off unless both fields
+  /// are set.
+  SysCheckpointHook checkpoint;
 
-  /// On pause, drain the remaining frontier into SysExploreResult::
-  /// frontier as root-relative trails (deque order, front first, workers
-  /// in id order). Nodes are captured as {action path from the root},
-  /// which is exactly what resume_frontier accepts.
-  bool capture_frontier = false;
-
-  /// Resume a previously paused search instead of starting from the root:
-  /// the root state is NOT re-probed or re-counted, resume_visited
+  /// Resume a previously checkpointed search instead of starting from the
+  /// root: the root state is NOT re-probed or re-counted, resume_visited
   /// preseeds the dedup set (it must contain the root digest), and
   /// resume_frontier's trails are re-planted as root-anchored frontier
   /// nodes in order. The base world passed to the constructor must be the
-  /// same state the original search started from.
+  /// same state the original search started from. Only needed to restart
+  /// from a journal: a live search checkpoints in place.
   bool resume_from_checkpoint = false;
   std::vector<std::uint64_t> resume_visited;
   std::vector<Trail> resume_frontier;
@@ -278,11 +301,6 @@ struct SysExploreResult {
   std::vector<SysViolation> violations;
   /// Sorted visited canonical digests (only when opts.collect_visited).
   std::vector<std::uint64_t> visited;
-  /// True when pause_check stopped the search at a clean node boundary
-  /// (never set by budget truncation or a filled violation budget).
-  bool paused = false;
-  /// The un-expanded frontier at pause time (only when opts.capture_frontier).
-  std::vector<Trail> frontier;
   bool found_violation() const { return !violations.empty(); }
 };
 
@@ -465,8 +483,11 @@ class SystemExplorer {
   /// standard rules.
   std::vector<Node> resume_nodes(const std::shared_ptr<Anchor>& root_anchor,
                                  std::deque<PathNode>& arena) const;
-  /// Validates the pause/capture/resume option contract (ConfigError).
-  void check_pause_resume_options() const;
+  /// Validates the checkpoint/resume option contract (ConfigError).
+  void check_checkpoint_options() const;
+  bool checkpointing() const {
+    return opts_.checkpoint.every_states > 0 && opts_.checkpoint.fn != nullptr;
+  }
   /// Probe the investigated state itself (the violation might already
   /// hold); returns false when the violation budget is already exhausted.
   bool probe_root(SysExploreResult& res);
@@ -474,6 +495,14 @@ class SystemExplorer {
   SysExploreResult graph_search_parallel();
   void worker_loop(Shared& sh, Worker& me);
   void expand(Shared& sh, Worker& me, Node cur);
+  /// Parallel checkpoint barrier: a worker parks at the top of its loop
+  /// while a checkpoint is pending; the last one to park (or to leave the
+  /// search for good) runs the hook for everyone.
+  void park(Shared& sh);
+  void leave(Shared& sh);
+  void checkpoint_parked(Shared& sh);
+  /// Sum the workers' counters into `out` (states from the shared total).
+  static void merge_counters(const Shared& sh, ExploreStats& out);
   SysExploreResult random_walk();
 
   rt::World& base_;
@@ -482,6 +511,8 @@ class SystemExplorer {
   /// Anchor residency bookkeeping; non-null only for budgeted trail-mode
   /// graph searches (created per explore(); defined in sysmodel.cpp).
   std::unique_ptr<AnchorRegistry> reg_;
+  /// When the current explore() call started (checkpoint stats' wall_ms).
+  std::chrono::steady_clock::time_point started_;
 };
 
 }  // namespace fixd::mc

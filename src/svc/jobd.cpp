@@ -67,17 +67,20 @@ std::uint64_t visited_digest(const std::vector<std::uint64_t>& visited) {
 }
 
 std::uint64_t trail_digest(const std::vector<mc::SysViolation>& violations,
-                           std::uint32_t workers) {
+                           std::uint32_t workers, const Progress& progress) {
   if (workers <= 1) {
     // Sequential searches produce a fully deterministic ordered trail
-    // list: digest everything, order-sensitively.
+    // list: digest everything, order-sensitively — the wire encoding,
+    // which carries every field without formatting a string per action.
     Hasher h;
     h.update_u64(violations.size());
-    for (const mc::SysViolation& v : violations) {
-      h.update_string(v.violation.to_string());
-      h.update_string(v.trail.render());
-      h.update_u64(v.depth);
+    BinaryWriter w;
+    for (std::size_t i = 0; i < violations.size(); ++i) {
+      if (progress && i % 1024 == 1023) progress();
+      violations[i].save(w);
+      if (w.bytes().size() >= (64u << 10)) h.update(w.take());
     }
+    h.update(w.bytes());
     return h.digest();
   }
   // Parallel searches: the violation multiset is deterministic, the trail
@@ -97,13 +100,14 @@ std::uint64_t trail_digest(const std::vector<mc::SysViolation>& violations,
 }
 
 // ---------------------------------------------------------------------------
-// Sliced investigation runner
+// Checkpointed investigation runner
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Merge one slice's stats into the job's accumulated stats. Counters sum;
-/// peaks max; end-of-run gauges take the latest slice's value.
+/// Merge one search's stats into the job's accumulated stats (a resumed
+/// job runs more than one). Counters sum; peaks max; end-of-run gauges
+/// take the latest search's value.
 void accumulate_stats(mc::ExploreStats& acc, const mc::ExploreStats& s) {
   acc.states += s.states;
   acc.transitions += s.transitions;
@@ -157,85 +161,108 @@ JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
                                const RunCallbacks& cb) {
   if (spec.order != mc::SearchOrder::kBfs &&
       spec.order != mc::SearchOrder::kDfs) {
-    throw ConfigError("job: only bfs/dfs searches are sliceable");
+    throw ConfigError("job: only bfs/dfs searches are checkpointable");
   }
   std::unique_ptr<rt::World> world = fam.make(spec.n, spec.version);
 
-  CheckpointState state;
-  if (resume != nullptr) state = *resume;
+  const CheckpointState none;
+  const CheckpointState& base = resume != nullptr ? *resume : none;
+
+  // The search heartbeats at every checkpoint. The per-job work around it
+  // (copying the resumed state, tearing the explorer down, digesting every
+  // violation) can outlast a short lease on a slow build, so heartbeats
+  // bracket that too.
+  const auto heartbeat = [&cb] {
+    if (cb.heartbeat) cb.heartbeat();
+  };
 
   JobResultMsg out;
-  out.resumed = resume != nullptr && state.slices > 0;
+  out.resumed = base.slices > 0;
+  out.stats = base.stats;
+  out.violations = base.violations;
+  heartbeat();
 
-  for (;;) {
-    if (cb.should_cancel && cb.should_cancel()) {
-      // Abandoned mid-run: report what has accumulated, not complete.
-      break;
-    }
-    mc::SysExploreOptions iopts = options_for(fam, spec);
-
-    // Remaining budgets for this slice. The accumulated `states` counter
-    // matches the uninterrupted run's exactly (resume preseeds are not
-    // re-counted), so remaining = spec budget - accumulated.
-    if (state.stats.states >= spec.max_states ||
-        state.violations.size() >= spec.max_violations) {
-      break;
-    }
-    iopts.max_states = spec.max_states - state.stats.states;
-    iopts.max_violations = spec.max_violations - state.violations.size();
-
-    // Pause roughly every checkpoint_states newly-visited states. The
-    // threshold is per-slice (each slice's stats start at zero), so every
-    // slice is guaranteed forward progress before it can pause.
-    if (spec.checkpoint_states > 0) {
-      const std::uint64_t threshold = spec.checkpoint_states;
-      iopts.pause_check = [threshold](const mc::ExploreStats& s) {
-        return s.states >= threshold;
-      };
-      iopts.capture_frontier = true;
-    }
-
-    if (state.slices > 0) {
-      iopts.resume_from_checkpoint = true;
-      iopts.resume_visited = state.visited;
-      iopts.resume_frontier = state.frontier;
-    }
-
-    mc::SystemExplorer explorer(*world, iopts);
-    mc::SysExploreResult res = explorer.explore();
-
-    // res.visited is the FULL visited set (preseed included), already
-    // sorted; the per-slice stats cover only this slice's new work.
-    state.visited = std::move(res.visited);
-    state.frontier = std::move(res.frontier);
-    accumulate_stats(state.stats, res.stats);
-    for (mc::SysViolation& v : res.violations) {
-      state.violations.push_back(std::move(v));
-    }
-    ++state.slices;
-
-    if (cb.heartbeat) cb.heartbeat();
-
-    if (!res.paused || state.frontier.empty()) {
-      // Terminal: the search completed (or hit a budget / filled its
-      // violation quota). A pause with an empty frontier is completion —
-      // there is nothing left to expand.
-      out.complete = true;
-      break;
-    }
-
-    if (cb.on_checkpoint && !cb.on_checkpoint(state)) {
-      // Fenced (a newer attempt owns the job) or draining: stop quietly.
-      break;
-    }
+  auto finish = [&](const std::vector<std::uint64_t>& visited) {
+    out.visited_count = visited.size();
+    out.visited_digest = svc::visited_digest(visited);
+    out.trail_digest =
+        svc::trail_digest(out.violations, spec.workers, cb.heartbeat);
+    heartbeat();
+    return std::move(out);
+  };
+  if (cb.should_cancel && cb.should_cancel()) return finish(base.visited);
+  // Budgets spent by the resumed part: the search is over.
+  if (base.stats.states >= spec.max_states ||
+      base.violations.size() >= spec.max_violations) {
+    out.complete = true;
+    return finish(base.visited);
   }
 
-  out.stats = state.stats;
-  out.violations = std::move(state.violations);
-  out.visited_count = state.visited.size();
-  out.visited_digest = svc::visited_digest(state.visited);
-  out.trail_digest = svc::trail_digest(out.violations, spec.workers);
-  return out;
+  // The accumulated `states` counter matches the uninterrupted run's
+  // exactly (resume preseeds are not re-counted), so the remaining budget
+  // is spec budget - accumulated.
+  mc::SysExploreOptions iopts = options_for(fam, spec);
+  iopts.max_states = spec.max_states - base.stats.states;
+  iopts.max_violations = spec.max_violations - base.violations.size();
+  if (base.slices > 0) {
+    iopts.resume_from_checkpoint = true;
+    iopts.resume_visited = base.visited;
+    iopts.resume_frontier = base.frontier;
+  }
+
+  // Checkpoints with nobody to hand them to (the degraded in-process
+  // path) would only copy the frontier for nothing.
+  std::uint64_t slices = base.slices;
+  bool stopped = false;
+  if (spec.checkpoint_states > 0 &&
+      (cb.heartbeat || cb.should_cancel || cb.on_checkpoint)) {
+    iopts.checkpoint.every_states = spec.checkpoint_states;
+    iopts.checkpoint.fn = [&](mc::SysCheckpoint& ck) {
+      heartbeat();
+      CheckpointState st;
+      st.slices = ++slices;
+      st.visited = std::move(ck.new_visited);
+      st.violations = std::move(ck.new_violations);
+      st.frontier = std::move(ck.frontier);
+      st.stats = base.stats;
+      accumulate_stats(st.stats, ck.stats);
+      // Fenced (a newer attempt owns the job), cancelled or draining:
+      // stop quietly at this checkpoint.
+      stopped = (cb.on_checkpoint && !cb.on_checkpoint(st)) ||
+                (cb.should_cancel && cb.should_cancel());
+      return !stopped;
+    };
+  }
+
+  mc::SysExploreResult res;
+  {
+    mc::SystemExplorer explorer(*world, std::move(iopts));
+    res = explorer.explore();
+  }  // torn down before the heartbeat
+  heartbeat();
+
+  // Completed, or hit a budget / filled its violation quota — unless a
+  // checkpoint stopped it. res.visited is the FULL visited set (preseed
+  // included), already sorted.
+  out.complete = !stopped;
+  accumulate_stats(out.stats, res.stats);
+  for (mc::SysViolation& v : res.violations) {
+    out.violations.push_back(std::move(v));
+  }
+  heartbeat();
+  return finish(res.visited);
+}
+
+CheckpointState load_checkpoint(const std::filesystem::path& dir,
+                                RecoveredJob rec, const Progress& progress) {
+  CheckpointState st;
+  if (!rec.last_checkpoint) return st;
+  st.visited = merge_visited_runs(dir, rec.visited_runs, progress);
+  st.frontier = std::move(rec.last_checkpoint->frontier);
+  st.stats = rec.last_checkpoint->stats;
+  st.violations = std::move(rec.violations);
+  st.slices = rec.last_checkpoint->checkpoint_seq + 1;
+  return st;
 }
 
 // ---------------------------------------------------------------------------
@@ -309,9 +336,9 @@ std::optional<JobStatusMsg> JobManager::status(std::uint64_t job_id) const {
   msg.job_id = job.id;
   msg.phase = job.phase;
   msg.attempts = job.attempts;
-  msg.states = job.ckpt.stats.states;
-  msg.transitions = job.ckpt.stats.transitions;
-  msg.violations = job.ckpt.violations.size();
+  msg.states = job.states;
+  msg.transitions = job.transitions;
+  msg.violations = job.violations;
   msg.checkpoints = job.checkpoints;
   msg.resumed = job.resumed;
   msg.error = job.error;
@@ -381,14 +408,12 @@ std::size_t JobManager::recover() {
         job.phase = JobPhase::kCancelled;
         continue;
       }
+      // The attempt that runs it folds the checkpoint chain itself
+      // (execute); only the progress counters are kept here.
       if (rec->last_checkpoint) {
-        JournalRecord& ck = *rec->last_checkpoint;
-        job.ckpt.visited = job.journal->load_visited_run(ck.visited);
-        job.ckpt.frontier = std::move(ck.frontier);
-        job.ckpt.stats = ck.stats;
-        job.ckpt.violations = std::move(ck.violations);
-        job.ckpt.slices = ck.checkpoint_seq + 1;
-        job.has_ckpt = true;
+        job.states = rec->last_checkpoint->stats.states;
+        job.transitions = rec->last_checkpoint->stats.transitions;
+        job.violations = rec->violations.size();
       }
       job.phase = JobPhase::kQueued;
       job.resumed = true;
@@ -487,21 +512,15 @@ void JobManager::supervisor_loop() {
 }
 
 void JobManager::execute(std::uint64_t job_id, std::uint32_t my_gen) {
-  const ScenarioFamily* fam = nullptr;
   JobSpec spec;
-  CheckpointState start;
   bool has_start = false;
   {
     std::unique_lock<std::mutex> lk(mu_);
     Job& job = jobs_[job_id];
     spec = job.spec;
-    if (job.has_ckpt) {
-      start = job.ckpt;  // copy: the zombie/fenced race means the map's
-                         // copy must stay independent of this attempt
-      has_start = true;
-    }
+    has_start = job.checkpoints > 0;
   }
-  fam = registry_.find(spec.scenario);
+  const ScenarioFamily* fam = registry_.find(spec.scenario);
   if (fam == nullptr) {
     std::unique_lock<std::mutex> lk(mu_);
     Job& job = jobs_[job_id];
@@ -541,25 +560,34 @@ void JobManager::execute(std::uint64_t job_id, std::uint32_t my_gen) {
                     " stale-generation checkpoint rejected (fenced)");
       return false;  // zombie attempt: its durable writes are rejected
     }
-    // Durability order: run file (fsynced by SortedRunWriter::finish)
-    // BEFORE the WAL record that references it.
-    JournalRecord rec;
-    rec.type = JournalRecordType::kCheckpoint;
-    rec.checkpoint_seq = st.slices - 1;
-    rec.visited = job.journal->write_visited_run(st.slices - 1, st.visited);
-    rec.frontier = st.frontier;
-    rec.stats = st.stats;
-    rec.violations = st.violations;
-    job.journal->append(rec);
-    job.ckpt = st;
-    job.has_ckpt = true;
+    // Durability order: the delta run and its directory entry (fsynced
+    // by write_visited_run) BEFORE the WAL record that references it.
+    const std::uint64_t seq = st.slices - 1;
+    const RunManifest run = job.journal->write_visited_run(seq, st.visited);
+    job.journal->append_checkpoint(seq, run, st.stats, st.violations,
+                                   st.frontier);
     ++job.checkpoints;
+    job.states = st.stats.states;
+    job.transitions = st.stats.transitions;
+    job.violations += st.violations.size();
     return true;
   };
 
   JobResultMsg res;
   std::string error;
   try {
+    // Resume through the journal, as a restarted daemon does. The chain
+    // is stable here: every earlier attempt was fenced, and a fenced
+    // attempt's checkpoint writes are rejected under mu_.
+    CheckpointState start;
+    if (has_start) {
+      std::optional<RecoveredJob> rec =
+          recover_job(opts_.state_dir, job_id, cb.heartbeat);
+      if (rec) {
+        start = load_checkpoint(opts_.state_dir, std::move(*rec),
+                                cb.heartbeat);
+      }
+    }
     res = run_investigation(*fam, spec, has_start ? &start : nullptr, cb);
   } catch (const FixdError& e) {
     error = e.what();
@@ -601,9 +629,9 @@ void JobManager::execute(std::uint64_t job_id, std::uint32_t my_gen) {
   res.resumed = res.resumed || job.resumed;
   JournalRecord rec;
   rec.type = JournalRecordType::kCompleted;
-  rec.result = res;
+  rec.result = std::move(res);
   job.journal->append(rec);
-  job.result = std::move(res);
+  job.result = std::move(rec.result);
   job.phase = JobPhase::kDone;
   log_event(LogLevel::kInfo,
             "job " + std::to_string(job_id) + " done: states=" +

@@ -1,5 +1,5 @@
-// Job management for fixdd: scenario registry, sliced investigation runner,
-// lease-supervised execution, and the daemon serve loop.
+// Job management for fixdd: scenario registry, checkpointed investigation
+// runner, lease-supervised execution, and the daemon serve loop.
 //
 // The durable unit is a JobSpec (scenario name + parameters), never a live
 // world: the registry rebuilds the world deterministically, so a journal +
@@ -13,13 +13,16 @@
 //     duplicate submit returns the existing job id with `duplicate` set
 //     and never enqueues a second execution.
 //   * Leases: a running attempt owns a (job, generation) lease and
-//     heartbeats it from the runner's per-slice callback. supervise_tick()
-//     declares an attempt dead when its lease lapses, bumps the
-//     generation (fencing the zombie — its late checkpoint/completion
-//     writes are rejected), journals a new attempt, and requeues the job
-//     from the last durable checkpoint.
-//   * Durability: every checkpoint hits the WAL (visited run fsynced
-//     before the record referencing it) before the search continues.
+//     heartbeats it from the runner's per-checkpoint callback.
+//     supervise_tick() declares an attempt dead when its lease lapses,
+//     bumps the generation (fencing the zombie — its late checkpoint/
+//     completion writes are rejected), journals a new attempt, and
+//     requeues the job from the last durable checkpoint.
+//   * Durability: every checkpoint hits the WAL (delta run and its
+//     directory entry fsynced before the record referencing it) before
+//     the search continues. The daemon keeps no checkpoint state in
+//     memory: a requeued attempt resumes from the journal exactly as a
+//     restarted daemon does.
 #pragma once
 
 #include <atomic>
@@ -70,15 +73,31 @@ class ScenarioRegistry {
   std::map<std::string, ScenarioFamily> fams_;
 };
 
-/// Accumulated search state at a pause point — exactly what a kCheckpoint
-/// journal record carries, and exactly what a resume slice needs.
+/// Search state at a checkpoint. Two uses, one shape:
+///
+///   * RunCallbacks::on_checkpoint receives what ONE checkpoint adds —
+///     exactly what a kCheckpoint journal record carries: `visited` and
+///     `violations` are DELTAS (the digests first visited and the
+///     violations found since the previous checkpoint; `visited` sorted),
+///     while `frontier` is the whole live frontier and `stats` the counters
+///     accumulated over the whole job.
+///   * run_investigation's `resume` takes the FOLD of every checkpoint so
+///     far: the union of the visited deltas (sorted), all violations in
+///     order, and the latest frontier, stats and slices — what
+///     load_checkpoint() rebuilds from a journal.
 struct CheckpointState {
   std::vector<std::uint64_t> visited;  ///< sorted canonical digests
   std::vector<mc::Trail> frontier;
-  mc::ExploreStats stats;  ///< accumulated across slices
+  mc::ExploreStats stats;  ///< accumulated over the whole job
   std::vector<mc::SysViolation> violations;
-  std::uint64_t slices = 0;
+  std::uint64_t slices = 0;  ///< checkpoints taken so far
 };
+
+/// Fold a recovered journal's checkpoint chain into a resume state (empty,
+/// slices == 0, when it has no checkpoint). Throws like merge_visited_runs.
+CheckpointState load_checkpoint(const std::filesystem::path& dir,
+                                RecoveredJob rec,
+                                const Progress& progress = nullptr);
 
 /// Canonical digest of a visited set (order-independent by construction:
 /// input must be sorted, which SysExploreResult::visited guarantees).
@@ -91,25 +110,28 @@ std::uint64_t visited_digest(const std::vector<std::uint64_t>& visited);
 /// sorted (invariant, pid, detail) records only — the strongest claim the
 /// parallel determinism contract supports.
 std::uint64_t trail_digest(const std::vector<mc::SysViolation>& violations,
-                           std::uint32_t workers);
+                           std::uint32_t workers,
+                           const Progress& progress = nullptr);
 
 struct RunCallbacks {
-  /// Called once per slice boundary — doubles as the lease heartbeat.
+  /// Called at every checkpoint — doubles as the lease heartbeat.
   std::function<void()> heartbeat;
-  /// Checked between slices; true stops the run (cancel / fenced / drain).
+  /// Checked before the search and after every checkpoint; true stops the
+  /// run (cancel / fenced / drain).
   std::function<bool()> should_cancel;
-  /// Called with the accumulated state after each paused slice. Return
-  /// false to abandon the run (stale generation). A null callback means
-  /// "no durability" (the degraded in-process path).
+  /// Called at every checkpoint with the deltas described at
+  /// CheckpointState. Return false to abandon the run (stale generation).
+  /// A null callback means "no durability" (the degraded in-process path).
   std::function<bool(const CheckpointState&)> on_checkpoint;
 };
 
-/// Run one investigation as a sequence of pause/resume slices of roughly
-/// `spec.checkpoint_states` states each. Pure with respect to the spec:
-/// the same spec (resumed from any checkpoint or not) converges to the
-/// same visited set and violations as one uninterrupted run. Used by the
-/// daemon's workers AND the client's in-process degradation fallback, so
-/// degraded results are comparable by construction.
+/// Run one investigation as ONE live search that checkpoints in place
+/// roughly every `spec.checkpoint_states` new states (no checkpoints at
+/// 0). Pure with respect to the spec: the same spec (resumed from any
+/// checkpoint or not) converges to the same visited set and violations as
+/// one uninterrupted run. Used by the daemon's workers AND the client's
+/// in-process degradation fallback, so degraded results are comparable by
+/// construction.
 JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
                                const CheckpointState* resume,
                                const RunCallbacks& cb);
@@ -152,8 +174,8 @@ class JobManager {
   /// an internal supervisor thread; exposed for deterministic tests.
   std::size_t supervise_tick();
 
-  /// Stop accepting work and join workers. Running slices finish; their
-  /// next checkpoint parks the job (it will resume on next recover()).
+  /// Stop accepting work and join workers. A running search stops at its
+  /// next checkpoint, which parks the job (it will resume on next recover()).
   void shutdown();
   bool draining() const { return draining_.load(); }
 
@@ -177,9 +199,11 @@ class JobManager {
     bool cancel_requested = false;
     bool resumed = false;
     bool stalled = false;  ///< test hook (see test_stall_job)
-    std::uint64_t checkpoints = 0;
-    CheckpointState ckpt;
-    bool has_ckpt = false;
+    std::uint64_t checkpoints = 0;  ///< durable checkpoints in the journal
+    /// Progress as of the last durable checkpoint (for status).
+    std::uint64_t states = 0;
+    std::uint64_t transitions = 0;
+    std::uint64_t violations = 0;
     std::optional<JobResultMsg> result;
     std::string error;
     std::unique_ptr<JobJournal> journal;

@@ -1,29 +1,38 @@
 // Durable write-ahead journal for investigation jobs.
 //
 // One journal file per job (`job-<id>.wal` under the daemon's state dir),
-// a sequence of CRC frames (kJournalMagic) appended with fsync. Record
-// order IS the protocol:
+// a sequence of CRC frames (kJournalMagic) appended with fsync. Every
+// record payload starts with kJournalVersion. Record order IS the
+// protocol:
 //
 //   kSubmitted      — job spec + idempotency request_id (exactly one)
 //   kAttemptStarted — a lease generation began (one per attempt)
-//   kCheckpoint     — a pause point: frontier trails + visited-run
-//                     manifest + accumulated stats. The visited run file
-//                     (`job-<id>-ckpt-<seq>.run`, SortedRunWriter format)
-//                     is written AND fsynced BEFORE this record is
-//                     appended, so a checkpoint record never references
-//                     bytes that could be lost by a crash.
+//   kCheckpoint     — one in-place checkpoint of the live search: the
+//                     digests first visited since the previous checkpoint
+//                     (a delta run, `job-<id>-ckpt-<seq>.run`, in
+//                     SortedRunWriter format), the violations found since
+//                     the previous checkpoint, the whole live frontier
+//                     (front-coded trails) and the accumulated stats. The
+//                     delta run and its directory entry are fsynced BEFORE
+//                     this record is appended, so a checkpoint record never
+//                     references bytes that could be lost by a crash.
 //   kCompleted      — terminal result (stats + violations + digests)
 //   kCancelled      — terminal, user-requested
 //
-// Recovery replays records in order and stops at the FIRST bad frame
-// (torn tail from a mid-append crash reads as a clean end, never as
-// corruption — the job simply resumes from its last durable checkpoint).
-// A second kSubmitted with the same request_id throws: the journal is the
-// idempotency ledger, one execution per request-id.
+// Recovery replays records in order and stops at the FIRST torn frame (a
+// short read or CRC mismatch from a mid-append crash reads as a clean end,
+// never as corruption — the job simply resumes from its last durable
+// checkpoint). A CRC-valid record that does not decode (another WAL
+// version, a malformed front-coded frontier) and a second kSubmitted with
+// the same request_id throw SerializationError: refuse to guess. The
+// resume state is the fold of every checkpoint: the union of the delta
+// runs (merge_visited_runs), the concatenated violations, and the last
+// record's frontier and stats.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,6 +54,16 @@ struct RunManifest {
   void load(BinaryReader& r);
 };
 
+/// Bumped whenever a record's encoding changes. Version 2: checkpoint
+/// records carry delta runs, new violations only, and a front-coded
+/// frontier (version 1 records carried the full state and no version).
+inline constexpr std::uint32_t kJournalVersion = 2;
+
+/// Upper bound on the actions one decoded checkpoint frontier may expand
+/// to: front coding lets a few bytes stand for a whole shared prefix, so a
+/// hostile record could otherwise ask for unbounded memory.
+inline constexpr std::uint64_t kMaxFrontierActions = std::uint64_t{1} << 22;
+
 enum class JournalRecordType : std::uint8_t {
   kSubmitted = 0,
   kAttemptStarted,
@@ -63,10 +82,10 @@ struct JournalRecord {
   std::uint32_t generation = 0;
   // kCheckpoint
   std::uint64_t checkpoint_seq = 0;
-  RunManifest visited;
-  std::vector<mc::Trail> frontier;
-  mc::ExploreStats stats;               // accumulated across slices so far
-  std::vector<mc::SysViolation> violations;  // accumulated so far
+  RunManifest visited;              // delta run: first visited since last
+  std::vector<mc::Trail> frontier;  // the whole live frontier (front-coded)
+  mc::ExploreStats stats;           // accumulated over the whole job
+  std::vector<mc::SysViolation> violations;  // found since last checkpoint
   // kCompleted
   JobResultMsg result;
   // kCancelled: no extra payload
@@ -90,11 +109,21 @@ class JobJournal {
   /// durability is the point, a silent drop would void the resume proof.
   void append(const JournalRecord& rec);
 
+  /// append() of the kCheckpoint record with these fields, encoded straight
+  /// from the caller's vectors: a whole frontier is too big to copy into a
+  /// JournalRecord at every checkpoint.
+  void append_checkpoint(std::uint64_t checkpoint_seq,
+                         const RunManifest& visited,
+                         const mc::ExploreStats& stats,
+                         const std::vector<mc::SysViolation>& violations,
+                         const std::vector<mc::Trail>& frontier);
+
   const std::filesystem::path& path() const { return path_; }
 
-  /// Write `keys` (sorted ascending, deduped) as a SortedRun next to the
-  /// journal and fsync the directory entry, returning the manifest to embed
-  /// in a kCheckpoint record. Must be called BEFORE append() of that record.
+  /// Write `keys` (sorted ascending, deduped: one checkpoint's delta) as a
+  /// SortedRun next to the journal, fsync it and its directory entry, and
+  /// return the manifest to embed in the kCheckpoint record. Must be called
+  /// BEFORE append() of that record.
   RunManifest write_visited_run(std::uint64_t checkpoint_seq,
                                 const std::vector<std::uint64_t>& keys);
 
@@ -106,6 +135,8 @@ class JobJournal {
                            std::uint64_t job_id);
 
  private:
+  void append_payload(const BinaryWriter& payload);
+
   std::filesystem::path dir_;
   std::filesystem::path path_;
   std::uint64_t job_id_ = 0;
@@ -118,18 +149,41 @@ struct RecoveredJob {
   std::uint64_t request_id = 0;
   JobSpec spec;
   std::uint32_t attempts = 0;  ///< kAttemptStarted count
+  /// The newest checkpoint: its frontier, stats and sequence number (its
+  /// violations are folded into `violations` below).
   std::optional<JournalRecord> last_checkpoint;
+  /// Every checkpoint's delta run, oldest first (fold with
+  /// merge_visited_runs), and every checkpoint's new violations in order.
+  std::vector<RunManifest> visited_runs;
+  std::vector<mc::SysViolation> violations;
   std::optional<JobResultMsg> result;  ///< set iff kCompleted seen
   bool cancelled = false;
   std::uint64_t checkpoints = 0;
 };
 
-/// Replay `dir/job-<id>.wal`. Stops cleanly at the first torn/garbled
-/// frame. Returns nullopt if the file is missing or holds no complete
-/// kSubmitted record. Throws SerializationError on a duplicate kSubmitted
-/// (the idempotency invariant is broken — refuse to guess).
+/// Long recovery work calls `progress` every so often (null = never): the
+/// daemon passes the attempt's lease heartbeat, since folding a long
+/// checkpoint chain on a slow build can outlast a short lease.
+using Progress = std::function<void()>;
+
+/// Replay `dir/job-<id>.wal`. Stops cleanly at the first torn frame.
+/// Returns nullopt if the file is missing or holds no complete kSubmitted
+/// record. Throws SerializationError on a duplicate kSubmitted (the
+/// idempotency invariant is broken — refuse to guess) and on a CRC-valid
+/// record that does not decode.
 std::optional<RecoveredJob> recover_job(const std::filesystem::path& dir,
-                                        std::uint64_t job_id);
+                                        std::uint64_t job_id,
+                                        const Progress& progress = nullptr);
+
+/// The union of a checkpoint chain's delta runs, sorted: a streaming k-way
+/// merge over the run files (at most kMergeFanIn open at once). Throws
+/// SerializationError if a run is unsorted or two runs overlap — deltas
+/// are disjoint by construction, so either means a corrupt chain — and
+/// IoError/SerializationError for a missing or truncated run.
+inline constexpr std::size_t kMergeFanIn = 64;
+std::vector<std::uint64_t> merge_visited_runs(
+    const std::filesystem::path& dir, const std::vector<RunManifest>& runs,
+    const Progress& progress = nullptr);
 
 /// All job ids with a journal file under `dir` (sorted ascending).
 std::vector<std::uint64_t> list_journaled_jobs(

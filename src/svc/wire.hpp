@@ -68,8 +68,8 @@ const char* to_string(JobPhase p);
 /// What to investigate, scenario-addressed: the daemon rebuilds the world
 /// deterministically from the registered family + (n, version), so a job
 /// spec — not a serialized world — is the durable unit. Restricted to the
-/// sliceable explorer configuration (kBfs/kDfs, dedup on, no por/sleep
-/// sets); see SysExploreOptions' pause/resume contract.
+/// checkpointable explorer configuration (kBfs/kDfs, dedup on, no
+/// por/sleep sets); see SysExploreOptions' checkpoint/resume contract.
 struct JobSpec {
   std::string scenario = "two-pc";
   std::uint32_t n = 3;           ///< world size (processes/replicas)
@@ -83,8 +83,8 @@ struct JobSpec {
   std::uint64_t seed = 42;
   bool model_message_loss = false;
   bool model_message_duplication = false;
-  /// Durable-checkpoint cadence: pause and journal roughly every N new
-  /// states per slice. The crash-restart identity proof relies on slice
+  /// Durable-checkpoint cadence: journal a checkpoint roughly every N new
+  /// states. The crash-restart identity proof relies on checkpoint
   /// boundaries being deterministic, which this is (sequential orders).
   std::uint64_t checkpoint_states = 512;
 
@@ -97,7 +97,7 @@ struct JobStatusMsg {
   std::uint64_t job_id = 0;
   JobPhase phase = JobPhase::kQueued;
   std::uint32_t attempts = 0;   ///< lease generations started
-  std::uint64_t states = 0;     ///< accumulated across slices
+  std::uint64_t states = 0;     ///< as of the last checkpoint
   std::uint64_t transitions = 0;
   std::uint64_t violations = 0;
   std::uint64_t checkpoints = 0;  ///< durable checkpoints journaled
@@ -114,7 +114,7 @@ struct JobResultMsg {
   std::uint64_t job_id = 0;
   bool complete = false;
   bool degraded = false;  ///< produced by the in-process fallback
-  bool resumed = false;   ///< at least one slice ran after a journal recovery
+  bool resumed = false;   ///< the search ran on from a journaled checkpoint
   std::uint32_t attempts = 1;
   mc::ExploreStats stats;
   std::vector<mc::SysViolation> violations;

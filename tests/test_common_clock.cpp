@@ -102,10 +102,15 @@ TEST_P(VClockProperty, LawsUnderRandomExchanges) {
     for (std::size_t j = 0; j < events.size(); j += 11) {
       auto ij = events[i].second.compare(events[j].second);
       auto ji = events[j].second.compare(events[i].second);
-      if (ij == CausalOrder::kBefore) EXPECT_EQ(ji, CausalOrder::kAfter);
-      if (ij == CausalOrder::kEqual) EXPECT_EQ(ji, CausalOrder::kEqual);
-      if (ij == CausalOrder::kConcurrent)
+      if (ij == CausalOrder::kBefore) {
+        EXPECT_EQ(ji, CausalOrder::kAfter);
+      }
+      if (ij == CausalOrder::kEqual) {
+        EXPECT_EQ(ji, CausalOrder::kEqual);
+      }
+      if (ij == CausalOrder::kConcurrent) {
         EXPECT_EQ(ji, CausalOrder::kConcurrent);
+      }
     }
   }
 }

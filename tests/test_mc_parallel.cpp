@@ -464,8 +464,12 @@ TEST(ParallelStress, HundredRandomConfigsNoCrash) {
     // Budget overshoot is bounded by one in-flight state per worker, and
     // a full (non-truncated) search never exceeds the budget.
     EXPECT_LE(res.stats.states, o.max_states + o.workers);
-    if (!res.stats.truncated) EXPECT_LE(res.stats.states, o.max_states);
-    if (res.stats.states > o.max_states) EXPECT_TRUE(res.stats.truncated);
+    if (!res.stats.truncated) {
+      EXPECT_LE(res.stats.states, o.max_states);
+    }
+    if (res.stats.states > o.max_states) {
+      EXPECT_TRUE(res.stats.truncated);
+    }
     EXPECT_EQ(res.stats.workers, o.workers);
   }
 }

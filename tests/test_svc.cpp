@@ -17,7 +17,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "apps/two_phase_commit.hpp"
@@ -114,13 +117,27 @@ TEST(SliceIdentity, ResumeFromEveryCheckpointConverges) {
   const JobResultMsg base = run_local(spec);
   ASSERT_TRUE(base.complete);
 
-  // Collect every checkpoint the uninterrupted sliced run produces.
+  // Collect every checkpoint the uninterrupted checkpointed run produces,
+  // folded into resume states: the callback hands out deltas (new visited
+  // digests, new violations), the resume state is their running union
+  // plus the latest frontier and stats — what journal recovery rebuilds.
   std::vector<CheckpointState> checkpoints;
   const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
   const svc::ScenarioFamily* fam = reg.find(spec.scenario);
+  CheckpointState folded;
   RunCallbacks record;
   record.on_checkpoint = [&](const CheckpointState& st) {
-    checkpoints.push_back(st);
+    std::vector<std::uint64_t> visited;
+    std::set_union(folded.visited.begin(), folded.visited.end(),
+                   st.visited.begin(), st.visited.end(),
+                   std::back_inserter(visited));
+    folded.visited = std::move(visited);
+    folded.violations.insert(folded.violations.end(), st.violations.begin(),
+                             st.violations.end());
+    folded.frontier = st.frontier;
+    folded.stats = st.stats;
+    folded.slices = st.slices;
+    checkpoints.push_back(folded);
     return true;
   };
   const JobResultMsg full = svc::run_investigation(*fam, spec, nullptr, record);
@@ -140,6 +157,69 @@ TEST(SliceIdentity, ResumeFromEveryCheckpointConverges) {
         << "trail digest diverged resuming from checkpoint " << k;
     EXPECT_EQ(resumed.stats.states, base.stats.states);
   }
+}
+
+// A checkpoint costs O(new work): each journaled visited delta holds only
+// the digests first reached since the previous checkpoint, and the live
+// search rebuilds or replays nothing for a checkpoint.
+TEST(SliceIdentity, CheckpointCostIsNewWork) {
+  JobSpec spec = small_spec();
+  spec.n = 5;
+  spec.version = 2;
+  spec.trail_frontier = true;  // replay work is observable in trail mode
+  spec.checkpoint_states = 512;
+  JobSpec single = spec;
+  single.checkpoint_states = 0;
+  const JobResultMsg base = run_local(single);
+  ASSERT_TRUE(base.complete);
+
+  const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
+  const svc::ScenarioFamily* fam = reg.find(spec.scenario);
+  std::vector<std::vector<std::uint64_t>> deltas;
+  CheckpointState last;
+  RunCallbacks cb;
+  cb.on_checkpoint = [&](const CheckpointState& st) {
+    EXPECT_TRUE(std::is_sorted(st.visited.begin(), st.visited.end()));
+    deltas.push_back(st.visited);
+    last = st;
+    return true;
+  };
+  const JobResultMsg res = svc::run_investigation(*fam, spec, nullptr, cb);
+  ASSERT_TRUE(res.complete);
+  ASSERT_GE(deltas.size(), 10u) << "spec did not checkpoint";
+
+  // Pairwise disjoint: merging them all leaves no duplicate.
+  CheckpointState fold;
+  std::size_t total = 0;
+  for (const auto& d : deltas) {
+    total += d.size();
+    std::vector<std::uint64_t> merged;
+    std::merge(fold.visited.begin(), fold.visited.end(), d.begin(), d.end(),
+               std::back_inserter(merged));
+    fold.visited = std::move(merged);
+  }
+  EXPECT_EQ(std::adjacent_find(fold.visited.begin(), fold.visited.end()),
+            fold.visited.end())
+      << "two checkpoint deltas overlap";
+  // Exactly the states counted up to the last checkpoint, no more.
+  EXPECT_EQ(total, last.stats.states);
+
+  // The union, plus the states the search reached after its last
+  // checkpoint, is the final visited set: resuming from the fold converges
+  // to it, counting exactly the states the deltas did not hold.
+  fold.frontier = last.frontier;
+  fold.stats = last.stats;
+  fold.slices = last.slices;
+  const JobResultMsg resumed = svc::run_investigation(*fam, spec, &fold, {});
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.visited_count, base.visited_count);
+  EXPECT_EQ(resumed.visited_digest, base.visited_digest);
+  EXPECT_EQ(resumed.stats.states, base.stats.states);
+
+  // The checkpointed run did exactly the uninterrupted run's search work.
+  EXPECT_EQ(res.visited_digest, base.visited_digest);
+  EXPECT_EQ(res.stats.states, base.stats.states);
+  EXPECT_EQ(res.stats.replayed_actions, base.stats.replayed_actions);
 }
 
 TEST(SliceIdentity, NonSliceableConfigsRejected) {
@@ -204,6 +284,32 @@ TEST(Journal, AppendRecoverRoundTrip) {
             std::vector<std::uint64_t>{job_id});
   svc::JobJournal::remove_files(dir.path(), job_id);
   EXPECT_TRUE(svc::list_journaled_jobs(dir.path()).empty());
+}
+
+TEST(Journal, AppendCheckpointEncodesLikeARecord) {
+  ScratchDir a = ScratchDir::create("", "fixd-ckenc");
+  ScratchDir b = ScratchDir::create("", "fixd-ckenc");
+  svc::JournalRecord ck;
+  ck.type = svc::JournalRecordType::kCheckpoint;
+  ck.checkpoint_seq = 3;
+  ck.stats.states = 11;
+  mc::Trail t;
+  t.steps.resize(4);
+  ck.frontier = {t, t, mc::Trail{}};
+  ck.violations.push_back({{"inv", 1, "d", 2, 3, 4}, t, 4});
+  {
+    svc::JobJournal ja(a.path(), 1);
+    ck.visited = ja.write_visited_run(3, {4, 8});
+    ja.append(ck);
+    svc::JobJournal jb(b.path(), 1);
+    jb.append_checkpoint(3, jb.write_visited_run(3, {4, 8}), ck.stats,
+                         ck.violations, ck.frontier);
+  }
+  auto bytes = [](const std::filesystem::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(bytes(a.path() / "job-1.wal"), bytes(b.path() / "job-1.wal"));
 }
 
 TEST(Journal, TornTailReadsAsCleanEnd) {

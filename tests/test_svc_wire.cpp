@@ -5,16 +5,21 @@
 //     the explorer types they embed (ExploreStats, Trail, SysViolation)
 //   * IO fault injection surfaces as typed IoError (the ScratchDir /
 //     SortedRunWriter hardening regression)
+//   * hostile journal checkpoint input — malformed front-coded frontiers,
+//     truncated / unsorted / overlapping delta runs, other WAL versions —
+//     raises SerializationError or IoError, never UB
 //   * fault-shim and retry-backoff determinism
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <random>
 
 #include "common/hash.hpp"
 #include "common/io.hpp"
 #include "common/serialize.hpp"
 #include "svc/client.hpp"
+#include "svc/journal.hpp"
 #include "svc/transport.hpp"
 #include "svc/wire.hpp"
 
@@ -343,6 +348,185 @@ TEST(IoFaults, DisarmedInjectorWritesFine) {
   EXPECT_EQ(fin.count, 4u);
   SortedRunReader r(path, fin.fence);
   EXPECT_EQ(r.read_all(), keys);
+}
+
+// ---------------------------------------------------------------------------
+// Journal checkpoint records and delta runs under hostile input
+// ---------------------------------------------------------------------------
+
+/// A checkpoint record's payload up to (not including) its frontier, in
+/// the kJournalVersion layout.
+BinaryWriter checkpoint_head(std::uint32_t version = svc::kJournalVersion) {
+  BinaryWriter w;
+  w.write_u32(version);
+  w.write_u8(static_cast<std::uint8_t>(svc::JournalRecordType::kCheckpoint));
+  w.write_u64(0);                 // checkpoint_seq
+  svc::RunManifest{}.save(w);     // visited delta
+  sample_stats(1).save(w);        // stats
+  w.write_varint(0);              // no new violations
+  return w;
+}
+
+svc::JournalRecord decode_record(std::span<const std::byte> bytes) {
+  BinaryReader r(bytes);
+  svc::JournalRecord rec;
+  rec.load(r);
+  return rec;
+}
+
+/// A WAL holding a valid kSubmitted record followed by `payload` as one
+/// CRC-valid frame.
+void write_wal(const std::filesystem::path& dir, std::uint64_t job_id,
+               std::span<const std::byte> payload) {
+  {
+    svc::JobJournal j(dir, job_id);
+    svc::JournalRecord sub;
+    sub.type = svc::JournalRecordType::kSubmitted;
+    sub.request_id = 1;
+    sub.job_id = job_id;
+    j.append(sub);
+  }
+  BinaryWriter frame;
+  write_crc_frame(frame, svc::kJournalMagic, payload);
+  std::ofstream out(dir / ("job-" + std::to_string(job_id) + ".wal"),
+                    std::ios::binary | std::ios::app);
+  out.write(reinterpret_cast<const char*>(frame.bytes().data()),
+            static_cast<std::streamsize>(frame.bytes().size()));
+}
+
+TEST(JournalHostile, FrontCodedFrontierRoundTrips) {
+  svc::JournalRecord rec;
+  rec.type = svc::JournalRecordType::kCheckpoint;
+  rec.checkpoint_seq = 4;
+  rec.stats = sample_stats(2);
+  const mc::Trail t = sample_trail();
+  mc::Trail sibling = t;
+  sibling.steps.back().dst = 1;
+  mc::Trail longer = sibling;
+  longer.steps.push_back(t.steps[0]);
+  rec.frontier = {t, sibling, longer, mc::Trail{}, t};
+  BinaryWriter w;
+  rec.save(w);
+  const svc::JournalRecord back = decode_record(w.bytes());
+  ASSERT_EQ(back.frontier.size(), rec.frontier.size());
+  for (std::size_t i = 0; i < rec.frontier.size(); ++i) {
+    EXPECT_EQ(to_bytes(back.frontier[i]), to_bytes(rec.frontier[i])) << i;
+  }
+  // Every strict prefix of the record is a truncation: always an error.
+  const std::vector<std::byte> full = w.take();
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    EXPECT_THROW(decode_record({full.data(), cut}), SerializationError)
+        << "cut at " << cut;
+  }
+}
+
+TEST(JournalHostile, SharedPrefixLongerThanPreviousTrailRejected) {
+  // First trail: 3 actions. Second claims to share 4 of them.
+  BinaryWriter w = checkpoint_head();
+  w.write_varint(2);
+  w.write_varint(0);
+  w.write_varint(3);
+  for (const mc::SysAction& a : sample_trail().steps) a.save(w);
+  w.write_varint(4);
+  w.write_varint(0);
+  EXPECT_THROW(decode_record(w.bytes()), SerializationError);
+
+  // The first trail has no predecessor to share anything with.
+  BinaryWriter first = checkpoint_head();
+  first.write_varint(1);
+  first.write_varint(1);
+  first.write_varint(0);
+  EXPECT_THROW(decode_record(first.bytes()), SerializationError);
+
+  // A trail count or suffix length no record could hold is refused before
+  // anything is allocated.
+  BinaryWriter huge = checkpoint_head();
+  huge.write_varint(std::uint64_t{1} << 40);
+  EXPECT_THROW(decode_record(huge.bytes()), SerializationError);
+  BinaryWriter long_suffix = checkpoint_head();
+  long_suffix.write_varint(1);
+  long_suffix.write_varint(0);
+  long_suffix.write_varint(std::uint64_t{1} << 40);
+  EXPECT_THROW(decode_record(long_suffix.bytes()), SerializationError);
+
+  // Through recovery: the newest checkpoint's frontier is decoded there.
+  ScratchDir dir = ScratchDir::create("", "fixd-frontcode");
+  write_wal(dir.path(), 5, w.bytes());
+  EXPECT_THROW(svc::recover_job(dir.path(), 5), SerializationError);
+}
+
+TEST(JournalHostile, OldWalVersionRejected) {
+  // A checkpoint record of the previous WAL version: refused on decode and
+  // at recovery (not mistaken for a torn tail and silently dropped).
+  BinaryWriter old = checkpoint_head(svc::kJournalVersion - 1);
+  old.write_varint(0);  // empty frontier
+  EXPECT_THROW(decode_record(old.bytes()), SerializationError);
+  ScratchDir dir = ScratchDir::create("", "fixd-oldwal");
+  write_wal(dir.path(), 6, old.bytes());
+  EXPECT_THROW(svc::recover_job(dir.path(), 6), SerializationError);
+
+  // Version-1 records carried no version at all; their first bytes never
+  // read as the current one.
+  BinaryWriter v1;
+  v1.write_u8(static_cast<std::uint8_t>(svc::JournalRecordType::kSubmitted));
+  v1.write_u64(77);
+  v1.write_u64(7);
+  EXPECT_THROW(decode_record(v1.bytes()), SerializationError);
+}
+
+TEST(JournalHostile, TruncatedDeltaRunRejected) {
+  ScratchDir dir = ScratchDir::create("", "fixd-truncrun");
+  svc::JobJournal j(dir.path(), 1);
+  std::vector<std::uint64_t> keys(1500);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 2 * i + 1;
+  const svc::RunManifest m = j.write_visited_run(0, keys);
+  const auto path = dir.path() / m.file;
+  const auto size = std::filesystem::file_size(path);
+  for (const std::uintmax_t keep : {size - 8, size / 2, std::uintmax_t{20},
+                                    std::uintmax_t{5}, std::uintmax_t{0}}) {
+    std::filesystem::resize_file(path, keep);
+    EXPECT_THROW(svc::merge_visited_runs(dir.path(), {m}), SerializationError)
+        << "kept " << keep << " bytes";
+  }
+  std::filesystem::remove(path);
+  EXPECT_THROW(svc::merge_visited_runs(dir.path(), {m}), IoError);
+}
+
+TEST(JournalHostile, UnsortedOrOverlappingDeltaRunsRejected) {
+  ScratchDir dir = ScratchDir::create("", "fixd-badruns");
+  svc::JobJournal j(dir.path(), 1);
+  // Disjoint deltas merge into their sorted union, across fan-in batches.
+  std::vector<svc::RunManifest> ok;
+  std::vector<std::uint64_t> want;
+  for (std::uint64_t r = 0; r < svc::kMergeFanIn + 6; ++r) {
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 0; k < 40; ++k) keys.push_back(k * 1000 + r);
+    want.insert(want.end(), keys.begin(), keys.end());
+    ok.push_back(j.write_visited_run(r, keys));
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(svc::merge_visited_runs(dir.path(), ok), want);
+
+  // Overlap within one batch and across batches.
+  const svc::RunManifest a = j.write_visited_run(100, {1, 5, 9});
+  const svc::RunManifest b = j.write_visited_run(101, {5, 7});
+  EXPECT_THROW(svc::merge_visited_runs(dir.path(), {a, b}),
+               SerializationError);
+  std::vector<svc::RunManifest> across = ok;
+  across.push_back(j.write_visited_run(102, {want[3]}));
+  EXPECT_THROW(svc::merge_visited_runs(dir.path(), across),
+               SerializationError);
+
+  // A run whose keys were reordered on disk (same size, valid header).
+  const svc::RunManifest c = j.write_visited_run(103, {10, 20, 30});
+  {
+    std::fstream f(dir.path() / c.file,
+                   std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint64_t swapped[2] = {30, 20};
+    f.seekp(16 + 8);
+    f.write(reinterpret_cast<const char*>(swapped), sizeof(swapped));
+  }
+  EXPECT_THROW(svc::merge_visited_runs(dir.path(), {c}), SerializationError);
 }
 
 // ---------------------------------------------------------------------------
