@@ -16,8 +16,9 @@ bool in_group(const std::vector<ProcessId>& g, ProcessId p) {
 }  // namespace
 
 std::size_t FaultInjector::add(FaultSpec spec) {
-  const std::uint64_t seed = spec.seed;
-  Armed a{.spec = std::move(spec), .rng = Rng(seed)};
+  Armed a;
+  a.rng = Rng(spec.seed);
+  a.spec = std::move(spec);
   faults_.push_back(std::move(a));
   return faults_.size() - 1;
 }

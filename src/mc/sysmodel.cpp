@@ -1762,7 +1762,6 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
   }
   if (opts_.por) sh.por.root = root_anchor;
   sh.states.store(res.stats.states);  // the probed root
-  sh.ck_base.store(0);
   // Root violations count against the budget exactly as in the
   // sequential search.
   sh.violation_count.store(res.violations.size());
@@ -1781,12 +1780,11 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
     wk->meter.set_charge_snapshots(reg_ == nullptr);
     sh.workers.push_back(std::move(wk));
   }
+  // The root's digest and violations belong to the first checkpoint's
+  // delta; the violations merge back into the result ahead of any worker's.
   sh.workers[0]->fresh = std::move(root_fresh);
-  // Root violations belong to the first checkpoint's delta, like the root
-  // digest; they are merged into the result ahead of every worker's.
-  std::vector<SysViolation> root_violations = std::move(res.violations);
+  sh.workers[0]->violations = std::move(res.violations);
   res.violations.clear();
-  sh.workers[0]->violations = std::move(root_violations);
 
   if (opts_.resume_from_checkpoint) {
     // Re-plant the checkpoint frontier round-robin. Path chains go into

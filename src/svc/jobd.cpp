@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
+#include <optional>
+#include <utility>
 
 #include "apps/leader_election.hpp"
 #include "apps/token_ring.hpp"
@@ -154,6 +158,80 @@ mc::SysExploreOptions options_for(const ScenarioFamily& fam,
   return o;
 }
 
+/// Runs RunCallbacks::on_checkpoint on its own thread, one checkpoint at a
+/// time, so a checkpoint's durable writes overlap the search instead of
+/// stalling it. Checkpoints stay in order: handing over the next one, and
+/// finishing the run, first wait() for the previous call, which is where
+/// its false return or exception surfaces.
+class CheckpointWriter {
+ public:
+  using Fn = std::function<bool(const CheckpointState&)>;
+
+  explicit CheckpointWriter(const Fn& fn)
+      : fn_(fn), thread_([this] { loop(); }) {}
+
+  ~CheckpointWriter() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      quit_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
+  /// Wait for the call in flight; false if it (or an earlier one) returned
+  /// false. Rethrows its exception.
+  bool wait() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return !next_; });
+    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+    return ok_;
+  }
+
+  /// Hand over the next checkpoint; call after wait().
+  void post(CheckpointState st) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      next_ = std::move(st);
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  void loop() {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      cv_.wait(lk, [this] { return next_ || quit_; });
+      if (!next_) return;
+      lk.unlock();
+      bool ok = false;
+      std::exception_ptr error;
+      try {
+        ok = fn_(*next_);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lk.lock();
+      ok_ = ok_ && ok;
+      error_ = error;
+      next_.reset();
+      cv_.notify_all();
+    }
+  }
+
+  const Fn& fn_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<CheckpointState> next_;  ///< handed over, not yet written
+  bool ok_ = true;
+  bool quit_ = false;
+  std::exception_ptr error_;
+  std::thread thread_;  ///< last: starts once the members above exist
+};
+
 }  // namespace
 
 JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
@@ -214,10 +292,18 @@ JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
   // path) would only copy the frontier for nothing.
   std::uint64_t slices = base.slices;
   bool stopped = false;
+  std::optional<CheckpointWriter> writer;
   if (spec.checkpoint_states > 0 &&
       (cb.heartbeat || cb.should_cancel || cb.on_checkpoint)) {
+    if (cb.on_checkpoint) writer.emplace(cb.on_checkpoint);
     iopts.checkpoint.every_states = spec.checkpoint_states;
     iopts.checkpoint.fn = [&](mc::SysCheckpoint& ck) {
+      // Fenced (a newer attempt owns the job), cancelled or draining:
+      // stop quietly at this checkpoint.
+      if (writer && !writer->wait()) {
+        stopped = true;
+        return false;
+      }
       heartbeat();
       CheckpointState st;
       st.slices = ++slices;
@@ -226,10 +312,8 @@ JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
       st.frontier = std::move(ck.frontier);
       st.stats = base.stats;
       accumulate_stats(st.stats, ck.stats);
-      // Fenced (a newer attempt owns the job), cancelled or draining:
-      // stop quietly at this checkpoint.
-      stopped = (cb.on_checkpoint && !cb.on_checkpoint(st)) ||
-                (cb.should_cancel && cb.should_cancel());
+      if (writer) writer->post(std::move(st));
+      stopped = cb.should_cancel && cb.should_cancel();
       return !stopped;
     };
   }
@@ -239,6 +323,8 @@ JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
     mc::SystemExplorer explorer(*world, std::move(iopts));
     res = explorer.explore();
   }  // torn down before the heartbeat
+  if (writer && !writer->wait()) stopped = true;
+  writer.reset();
   heartbeat();
 
   // Completed, or hit a budget / filled its violation quota — unless a

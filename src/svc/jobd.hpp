@@ -19,10 +19,10 @@
 //     completion writes are rejected), journals a new attempt, and
 //     requeues the job from the last durable checkpoint.
 //   * Durability: every checkpoint hits the WAL (delta run and its
-//     directory entry fsynced before the record referencing it) before
-//     the search continues. The daemon keeps no checkpoint state in
-//     memory: a requeued attempt resumes from the journal exactly as a
-//     restarted daemon does.
+//     directory entry fsynced before the record referencing it) while the
+//     search runs on to the next checkpoint, which waits for it. The
+//     daemon keeps no checkpoint state in memory: a requeued attempt
+//     resumes from the journal exactly as a restarted daemon does.
 #pragma once
 
 #include <atomic>
@@ -119,8 +119,12 @@ struct RunCallbacks {
   /// Checked before the search and after every checkpoint; true stops the
   /// run (cancel / fenced / drain).
   std::function<bool()> should_cancel;
-  /// Called at every checkpoint with the deltas described at
-  /// CheckpointState. Return false to abandon the run (stale generation).
+  /// Called for every checkpoint with the deltas described at
+  /// CheckpointState — on a helper thread, so the durable writes overlap
+  /// the search. Calls are serialized and in checkpoint order, and the
+  /// next checkpoint (like the end of the run) waits for the previous
+  /// call: a checkpoint is durable before the next one is taken, and a
+  /// false return (stale generation) or an exception stops the run there.
   /// A null callback means "no durability" (the degraded in-process path).
   std::function<bool(const CheckpointState&)> on_checkpoint;
 };

@@ -293,8 +293,11 @@ TEST(WireRoundTrip, VersionMismatchRejected) {
 TEST(WireRoundTrip, TruncationsAlwaysThrow) {
   Response rsp;
   rsp.result.stats = sample_stats(5);
-  rsp.result.violations.push_back(
-      {{"inv", 1, "d", 2, 3, 4}, sample_trail(), 3});
+  mc::SysViolation v;
+  v.violation = {"inv", 1, "d", 2, 3, 4};
+  v.trail = sample_trail();
+  v.depth = 3;
+  rsp.result.violations.push_back(v);
   rsp.log_lines = {"x", "yy", "zzz"};
   BinaryWriter w;
   w.write_u32(svc::kWireVersion);
