@@ -233,9 +233,14 @@ svc::RunCallbacks journaling(svc::JobJournal& journal,
                              std::uint64_t& checkpoints) {
   svc::RunCallbacks cb;
   cb.on_checkpoint = [&journal, &checkpoints](const svc::CheckpointState& ck) {
-    const std::uint64_t seq = ck.slices - 1;
-    journal.append_checkpoint(seq, journal.write_visited_run(seq, ck.visited),
-                              ck.stats, ck.violations, ck.frontier);
+    svc::JournalRecord rec;
+    rec.type = svc::JournalRecordType::kCheckpoint;
+    rec.checkpoint_seq = ck.slices - 1;
+    rec.visited = journal.write_visited_run(rec.checkpoint_seq, ck.visited);
+    rec.frontier = ck.frontier;
+    rec.stats = ck.stats;
+    rec.violations = ck.violations;
+    journal.append(rec);
     ++checkpoints;
     return true;
   };

@@ -648,10 +648,14 @@ void JobManager::execute(std::uint64_t job_id, std::uint32_t my_gen) {
     }
     // Durability order: the delta run and its directory entry (fsynced
     // by write_visited_run) BEFORE the WAL record that references it.
-    const std::uint64_t seq = st.slices - 1;
-    const RunManifest run = job.journal->write_visited_run(seq, st.visited);
-    job.journal->append_checkpoint(seq, run, st.stats, st.violations,
-                                   st.frontier);
+    JournalRecord rec;
+    rec.type = JournalRecordType::kCheckpoint;
+    rec.checkpoint_seq = st.slices - 1;
+    rec.visited = job.journal->write_visited_run(st.slices - 1, st.visited);
+    rec.frontier = st.frontier;
+    rec.stats = st.stats;
+    rec.violations = st.violations;
+    job.journal->append(rec);
     ++job.checkpoints;
     job.states = st.stats.states;
     job.transitions = st.stats.transitions;

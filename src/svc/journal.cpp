@@ -85,21 +85,6 @@ std::vector<mc::Trail> load_front_coded(BinaryReader& r) {
   return out;
 }
 
-void save_checkpoint_fields(BinaryWriter& w, std::uint64_t checkpoint_seq,
-                            const RunManifest& visited,
-                            const mc::ExploreStats& stats,
-                            const std::vector<mc::SysViolation>& violations,
-                            const std::vector<mc::Trail>& frontier) {
-  w.write_u64(checkpoint_seq);
-  visited.save(w);
-  stats.save(w);
-  w.write_vector(violations, [](BinaryWriter& ww, const mc::SysViolation& v) {
-    v.save(ww);
-  });
-  // Last, so recovery can skip it on every record but the newest.
-  save_front_coded(w, frontier);
-}
-
 }  // namespace
 
 void RunManifest::save(BinaryWriter& w) const {
@@ -127,8 +112,15 @@ void JournalRecord::save(BinaryWriter& w) const {
       w.write_u32(generation);
       break;
     case JournalRecordType::kCheckpoint:
-      save_checkpoint_fields(w, checkpoint_seq, visited, stats, violations,
-                             frontier);
+      w.write_u64(checkpoint_seq);
+      visited.save(w);
+      stats.save(w);
+      w.write_vector(violations,
+                     [](BinaryWriter& ww, const mc::SysViolation& v) {
+                       v.save(ww);
+                     });
+      // Last, so recovery can skip it on every record but the newest.
+      save_front_coded(w, frontier);
       break;
     case JournalRecordType::kCompleted:
       result.save(w);
@@ -213,23 +205,6 @@ JobJournal::~JobJournal() {
 void JobJournal::append(const JournalRecord& rec) {
   BinaryWriter payload;
   rec.save(payload);
-  append_payload(payload);
-}
-
-void JobJournal::append_checkpoint(
-    std::uint64_t checkpoint_seq, const RunManifest& visited,
-    const mc::ExploreStats& stats,
-    const std::vector<mc::SysViolation>& violations,
-    const std::vector<mc::Trail>& frontier) {
-  BinaryWriter payload;
-  payload.write_u32(kJournalVersion);
-  payload.write_u8(static_cast<std::uint8_t>(JournalRecordType::kCheckpoint));
-  save_checkpoint_fields(payload, checkpoint_seq, visited, stats, violations,
-                         frontier);
-  append_payload(payload);
-}
-
-void JobJournal::append_payload(const BinaryWriter& payload) {
   BinaryWriter frame;
   write_crc_frame(frame, kJournalMagic, payload.bytes());
   const auto bytes = frame.bytes();

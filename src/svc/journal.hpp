@@ -109,15 +109,6 @@ class JobJournal {
   /// durability is the point, a silent drop would void the resume proof.
   void append(const JournalRecord& rec);
 
-  /// append() of the kCheckpoint record with these fields, encoded straight
-  /// from the caller's vectors: a whole frontier is too big to copy into a
-  /// JournalRecord at every checkpoint.
-  void append_checkpoint(std::uint64_t checkpoint_seq,
-                         const RunManifest& visited,
-                         const mc::ExploreStats& stats,
-                         const std::vector<mc::SysViolation>& violations,
-                         const std::vector<mc::Trail>& frontier);
-
   const std::filesystem::path& path() const { return path_; }
 
   /// Write `keys` (sorted ascending, deduped: one checkpoint's delta) as a
@@ -135,8 +126,6 @@ class JobJournal {
                            std::uint64_t job_id);
 
  private:
-  void append_payload(const BinaryWriter& payload);
-
   std::filesystem::path dir_;
   std::filesystem::path path_;
   std::uint64_t job_id_ = 0;

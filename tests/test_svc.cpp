@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <thread>
 
@@ -284,32 +283,6 @@ TEST(Journal, AppendRecoverRoundTrip) {
             std::vector<std::uint64_t>{job_id});
   svc::JobJournal::remove_files(dir.path(), job_id);
   EXPECT_TRUE(svc::list_journaled_jobs(dir.path()).empty());
-}
-
-TEST(Journal, AppendCheckpointEncodesLikeARecord) {
-  ScratchDir a = ScratchDir::create("", "fixd-ckenc");
-  ScratchDir b = ScratchDir::create("", "fixd-ckenc");
-  svc::JournalRecord ck;
-  ck.type = svc::JournalRecordType::kCheckpoint;
-  ck.checkpoint_seq = 3;
-  ck.stats.states = 11;
-  mc::Trail t;
-  t.steps.resize(4);
-  ck.frontier = {t, t, mc::Trail{}};
-  ck.violations.push_back({{"inv", 1, "d", 2, 3, 4}, t, 4});
-  {
-    svc::JobJournal ja(a.path(), 1);
-    ck.visited = ja.write_visited_run(3, {4, 8});
-    ja.append(ck);
-    svc::JobJournal jb(b.path(), 1);
-    jb.append_checkpoint(3, jb.write_visited_run(3, {4, 8}), ck.stats,
-                         ck.violations, ck.frontier);
-  }
-  auto bytes = [](const std::filesystem::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
-  EXPECT_EQ(bytes(a.path() / "job-1.wal"), bytes(b.path() / "job-1.wal"));
 }
 
 TEST(Journal, TornTailReadsAsCleanEnd) {
