@@ -1,6 +1,7 @@
 // Service-layer robustness suite:
-//   * pause/capture/resume explorer slicing — sliced == single-shot
-//     (visited + trail digests) across order × frontier-mode × workers
+//   * in-place explorer checkpoints — checkpointed == single-shot
+//     (visited + trail digests) across order × frontier-mode × workers;
+//     a checkpoint journals only new work
 //   * journal append/recover, torn-tail tolerance, idempotency ledger
 //   * JobManager: duplicate submits never double-run; lease expiry fences
 //     the stalled attempt and reschedules; recovery resumes from the last
@@ -72,7 +73,7 @@ TEST_P(SliceIdentity, SlicedEqualsSingleShot) {
   spec.trail_frontier = trail;
   spec.workers = static_cast<std::uint32_t>(workers);
 
-  // Baseline: no checkpointing at all (checkpoint_states=0 → no pause).
+  // Baseline: no checkpointing at all (checkpoint_states=0).
   JobSpec single = spec;
   single.checkpoint_states = 0;
   const JobResultMsg base = run_local(single);
@@ -449,7 +450,7 @@ TEST(JobManager, RecoverResumesFromCheckpointAcrossManagerRestart) {
   std::uint64_t job_id = 0;
   {
     // First manager: run until at least one checkpoint lands, then drain
-    // (shutdown parks the job at its next slice boundary).
+    // (shutdown parks the job at its next checkpoint).
     svc::JobManager mgr(ScenarioRegistry::with_builtins(), manager_opts(dir));
     job_id = mgr.submit(99, spec).job_id;
     const auto deadline = svc::now_ms() + 10000;
@@ -505,7 +506,7 @@ TEST(JobManager, CancelQueuedAndRunning) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   const auto st = mgr.status(running.job_id);
-  // Either the cancel landed between slices, or the job finished first —
+  // Either the cancel landed at a checkpoint, or the job finished first —
   // both are acceptable terminal states; hanging is not.
   EXPECT_TRUE(st->phase == svc::JobPhase::kCancelled ||
               st->phase == svc::JobPhase::kDone);
