@@ -37,6 +37,8 @@ struct SysAction {
   ProcessId src = kNoProcess;  ///< kPartitionLinks / kHealLinks
   ProcessId dst = kNoProcess;  ///< kPartitionLinks / kHealLinks
 
+  bool operator==(const SysAction& o) const = default;
+
   std::string describe() const {
     switch (kind) {
       case Kind::kRuntime:

@@ -124,7 +124,8 @@ struct RunCallbacks {
   /// the search. Calls are serialized and in checkpoint order, and the
   /// next checkpoint (like the end of the run) waits for the previous
   /// call: a checkpoint is durable before the next one is taken, and a
-  /// false return (stale generation) or an exception stops the run there.
+  /// false return (stale generation) or an exception stops the run at
+  /// that next checkpoint.
   /// A null callback means "no durability" (the degraded in-process path).
   std::function<bool(const CheckpointState&)> on_checkpoint;
 };

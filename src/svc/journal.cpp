@@ -22,11 +22,6 @@ std::filesystem::path run_path(const std::filesystem::path& dir,
                 std::to_string(seq) + ".run");
 }
 
-bool same_action(const mc::SysAction& a, const mc::SysAction& b) {
-  return a.kind == b.kind && a.event == b.event && a.msg == b.msg &&
-         a.delay == b.delay && a.src == b.src && a.dst == b.dst;
-}
-
 // Front coding: each trail is stored as the length of the prefix it shares
 // with the previous trail plus its own suffix. Consecutive frontier nodes
 // are siblings and cousins, so most of every trail is shared.
@@ -37,7 +32,7 @@ void save_front_coded(BinaryWriter& w, const std::vector<mc::Trail>& trails) {
     std::size_t shared = 0;
     if (prev != nullptr) {
       const std::size_t lim = std::min(prev->size(), t.steps.size());
-      while (shared < lim && same_action((*prev)[shared], t.steps[shared])) {
+      while (shared < lim && (*prev)[shared] == t.steps[shared]) {
         ++shared;
       }
     }
@@ -224,12 +219,6 @@ RunManifest JobJournal::write_visited_run(
   m.count = fin.count;
   m.fence = std::move(fin.fence);
   return m;
-}
-
-std::vector<std::uint64_t> JobJournal::load_visited_run(
-    const RunManifest& m) const {
-  SortedRunReader reader(dir_ / m.file, m.fence);
-  return reader.read_all();
 }
 
 void JobJournal::remove_files(const std::filesystem::path& dir,

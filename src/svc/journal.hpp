@@ -118,9 +118,6 @@ class JobJournal {
   RunManifest write_visited_run(std::uint64_t checkpoint_seq,
                                 const std::vector<std::uint64_t>& keys);
 
-  /// Load a visited run referenced by a recovered manifest.
-  std::vector<std::uint64_t> load_visited_run(const RunManifest& m) const;
-
   /// Delete this job's journal + run files (terminal cleanup).
   static void remove_files(const std::filesystem::path& dir,
                            std::uint64_t job_id);

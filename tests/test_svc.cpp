@@ -276,8 +276,8 @@ TEST(Journal, AppendRecoverRoundTrip) {
   ASSERT_EQ(rec->last_checkpoint->frontier.size(), 1u);
   EXPECT_EQ(rec->last_checkpoint->frontier[0].steps[0].msg, 5u);
 
-  svc::JobJournal j2(dir.path(), job_id);
-  EXPECT_EQ(j2.load_visited_run(rec->last_checkpoint->visited),
+  ASSERT_EQ(rec->visited_runs.size(), 1u);
+  EXPECT_EQ(svc::merge_visited_runs(dir.path(), rec->visited_runs),
             (std::vector<std::uint64_t>{3, 9, 27}));
 
   EXPECT_EQ(svc::list_journaled_jobs(dir.path()),
