@@ -1,7 +1,9 @@
-// Concurrency primitives for the parallel SystemExplorer (mc/sysmodel).
+// Concurrency primitives for the SystemExplorer's graph search
+// (mc/sysmodel).
 //
-// The parallel explorer shards the frontier across worker threads, each
-// owning a private scratch world. The shared structures coordinating them:
+// The search shards the frontier across workers, each owning a private
+// world. The shared structures coordinating them (a lone worker builds
+// the tables with one stripe, so its locks are never contended):
 //
 //  - CompactDigestSet / StripedVisitedSet: the canonical-state dedup set.
 //    The storage is a compact open-addressing table of raw u64 digests
@@ -11,11 +13,11 @@
 //    (`visited_resident_bytes`) and kept small; under a
 //    `visited_budget_bytes` the tiered wrapper (mc/tiered_visited.hpp)
 //    spills cold shards to disk. The striped wrapper lock-stripes inserts
-//    so concurrent
-//    (well-mixed) digests rarely contend. Insertion is linearizable per
-//    stripe; exactly one worker wins each digest, so every unique state is
-//    expanded exactly once — the property the differential tests
-//    (tests/test_mc_parallel.cpp) pin against the sequential explorer.
+//    so concurrent (well-mixed) digests rarely contend. Insertion is
+//    linearizable per stripe; exactly one worker wins each digest, so
+//    every unique state is expanded exactly once — the property the
+//    differential tests (tests/test_mc_parallel.cpp) pin against the
+//    one-worker search.
 //
 //  - StealableDeque: a per-worker frontier deque. The owner pushes and
 //    pops at its preferred end (back for DFS, front for BFS); idle workers
@@ -145,7 +147,7 @@ class CompactDigestSet {
 /// Lock-striped set of 64-bit state digests over compact tables.
 class StripedVisitedSet {
  public:
-  explicit StripedVisitedSet(std::size_t stripes = 64) {
+  explicit StripedVisitedSet(std::size_t stripes) {
     // Round up to a power of two so stripe selection is a mask.
     std::size_t n = 1;
     while (n < stripes) n <<= 1;
@@ -231,7 +233,7 @@ class StripedSleepVisited {
  public:
   enum class Verdict { kNew, kPrune, kReexpand };
 
-  explicit StripedSleepVisited(std::size_t stripes = 64) {
+  explicit StripedSleepVisited(std::size_t stripes) {
     std::size_t n = 1;
     while (n < stripes) n <<= 1;
     stripes_.reserve(n);
@@ -316,8 +318,8 @@ class StripedSleepVisited {
 /// Per-state expansion records for dynamic POR: digest -> {the enabled
 /// action keys at that state, the keys already run from it, the keys
 /// requested by race detection but not yet run}. One stripe lock covers
-/// every transition of a record, so the sequential explorer and all
-/// parallel workers share the same code path. The lifecycle:
+/// every transition of a record, so any number of workers share it. The
+/// lifecycle:
 ///
 ///   begin_expand  -> called when a node materializing the state is
 ///                    expanded; registers the enabled set on first
@@ -336,7 +338,7 @@ class StripedPorRecords {
  public:
   enum class Request { kRegistered, kCovered, kNotEnabled, kNoRecord };
 
-  explicit StripedPorRecords(std::size_t stripes = 64) {
+  explicit StripedPorRecords(std::size_t stripes) {
     std::size_t n = 1;
     while (n < stripes) n <<= 1;
     stripes_.reserve(n);

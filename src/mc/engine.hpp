@@ -51,14 +51,16 @@ struct ExploreStats {
   double snapshot_ms = 0.0;  ///< wall time spent capturing frontier states
   /// Peak retained frontier memory, shared buffers (COW checkpoints,
   /// message payloads) counted once (SystemExplorer only). Exact for
-  /// sequential searches; with workers > 1 it is the sum of per-worker
+  /// one-worker searches; with workers > 1 it is the sum of per-worker
   /// meter peaks — an upper bound (worker peaks need not be simultaneous,
   /// buffers shared across workers are charged once per worker, and
   /// stolen nodes — deque or priority-shard — stay charged on the worker
   /// that pushed them).
   std::uint64_t peak_frontier_bytes = 0;
-  /// Parallel searches: the largest single-worker contribution to the
-  /// peak_frontier_bytes sum (0 when workers == 1).
+  /// The largest single-worker meter peak in the peak_frontier_bytes sum
+  /// (graph searches). At one worker it is that worker's exact peak, equal
+  /// to peak_frontier_bytes unless a frontier budget adds the anchor
+  /// registry's peak to the latter.
   std::uint64_t peak_frontier_bytes_max_worker = 0;
   /// Retained *resident* bytes of the visited (dedup) set at the end of
   /// the search — the one explorer structure that only grows in RAM unless
@@ -86,9 +88,9 @@ struct ExploreStats {
   /// Actions re-executed to rebuild popped states from their anchors
   /// (trail-frontier mode only; 0 in snapshot mode).
   std::uint64_t replayed_actions = 0;
-  /// Worker threads that ran the search (1 = sequential). When > 1,
-  /// digest_ms/snapshot_ms are CPU time summed across workers, so they can
-  /// legitimately exceed wall_ms.
+  /// Workers that ran the search (1 = inline on the calling thread). When
+  /// > 1, digest_ms/snapshot_ms are CPU time summed across workers, so they
+  /// can legitimately exceed wall_ms.
   std::uint64_t workers = 1;
   /// Frontier nodes a worker took from another worker's shard (deque
   /// steal, or a priority-shard pop routed to a better-looking victim;

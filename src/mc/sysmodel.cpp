@@ -211,9 +211,9 @@ class SystemExplorer::AnchorRegistry {
 /// exactly one snapshot field, so a single node can no longer reach the
 /// same checkpoint through two routes (the old snap-vs-anchor shape
 /// could, and double-counted the per-node proc-table term for it); the
-/// refcounts still dedupe any aliasing *across* nodes. The sequential
-/// search keeps one exact meter. The parallel search gives each worker a
-/// private meter (Node::owner tags the pusher): a worker charges at push
+/// refcounts still dedupe any aliasing *across* nodes. Each worker keeps a
+/// private meter (Node::owner tags the pusher), so a one-worker search's
+/// meter is exact. With several workers, a worker charges at push
 /// and refunds only nodes it both pushed and popped, so the rare stolen
 /// node (deque or priority shard) stays charged on its victim's meter —
 /// per-worker peaks are upper bounds with slack bounded by steal
@@ -310,15 +310,9 @@ class SystemExplorer::FrontierMeter {
 };
 
 // ---------------------------------------------------------------------------
-// Parallel coordination state
+// Search coordination state
 // ---------------------------------------------------------------------------
 
-/// Everything the worker threads share. The visited set and the per-worker
-/// deques are individually synchronized; the atomics below carry the
-/// global budgets. `active` counts frontier nodes that are queued or being
-/// expanded — it is incremented *before* a child is pushed and decremented
-/// *after* its expansion finishes, so an idle worker observing active == 0
-/// knows the search is complete (no node can reappear).
 /// POR bookkeeping for one search: shared expansion records plus the root
 /// anchor every backtrack node re-materializes from (root snapshot +
 /// deterministic replay of the path prefix — the same machinery trail
@@ -331,7 +325,41 @@ struct SystemExplorer::PorState {
   std::shared_ptr<Anchor> root;
 };
 
+namespace {
+
+/// Lock stripes per shared search table when several workers contend for
+/// it; a lone worker takes one stripe (one table, one uncontended lock).
+constexpr std::size_t kStripes = 64;
+
+/// The first exception any worker threw, re-thrown as is by the
+/// coordinating thread once every worker has finished (an exception
+/// escaping a std::thread would terminate).
+struct FirstError {
+  std::mutex mu;
+  std::exception_ptr error;
+
+  void capture() {
+    std::lock_guard<std::mutex> lk(mu);
+    if (!error) error = std::current_exception();
+  }
+  void rethrow() const {
+    if (error) std::rethrow_exception(error);
+  }
+};
+
+}  // namespace
+
+/// Everything the workers share. The visited set and the per-worker
+/// deques are individually synchronized; the atomics below carry the
+/// global budgets. `active` counts frontier nodes that are queued or being
+/// expanded — it is incremented *before* a child is pushed and decremented
+/// *after* its expansion finishes, so an idle worker observing active == 0
+/// knows the search is complete (no node can reappear).
 struct SystemExplorer::Shared {
+  explicit Shared(std::size_t stripes)
+      : visited(stripes), sleepvis(stripes), por{StripedPorRecords(stripes),
+                                                 nullptr} {}
+
   StripedVisitedSet visited;
   /// Budgeted dedup (visited_budget_bytes > 0, plain dedup only): the
   /// Bloom-fronted spill-to-disk set used instead of `visited`, with its
@@ -343,6 +371,13 @@ struct SystemExplorer::Shared {
   /// sleep_sets && dedup (the signature decides prune vs re-expand).
   StripedSleepVisited sleepvis;
   PorState por;
+
+  /// Plain dedup insert into whichever visited set the search uses; true
+  /// iff `h` was new.
+  bool insert_visited(std::uint64_t h) {
+    return tiered ? tiered->insert(h) : visited.insert(h);
+  }
+
   std::atomic<std::uint64_t> states{0};
   std::atomic<std::uint64_t> violation_count{0};
   std::atomic<std::size_t> active{0};
@@ -364,24 +399,21 @@ struct SystemExplorer::Shared {
   std::size_t live = 0;
   std::uint64_t ck_epoch = 0;
 
-  /// First worker exception, re-thrown on the coordinating thread after
-  /// join (an exception escaping a std::thread would terminate).
-  std::mutex err_mu;
-  std::string error;
-  /// An exception thrown by the checkpoint hook, re-thrown as is.
-  std::exception_ptr hook_error;
+  /// A worker's expansion error or the checkpoint hook's, whichever came
+  /// first.
+  FirstError error;
 
   std::vector<std::unique_ptr<Worker>> workers;
 };
 
-/// One worker: a private scratch world (cloned from the investigated
-/// state), a stealable frontier shard (deque for kBfs/kDfs, priority
-/// shard for kPriority — the old single mutex-guarded global heap
-/// serialized every push and pop across workers), and private
-/// stats/violations merged by the coordinator after join.
+/// One worker: a private world (see run_workers), a stealable frontier
+/// shard (deque for kBfs/kDfs, priority shard for kPriority — the old
+/// single mutex-guarded global heap serialized every push and pop across
+/// workers), and private stats/violations merged by the coordinator once
+/// every worker has finished.
 struct SystemExplorer::Worker {
   std::size_t id = 0;
-  std::unique_ptr<rt::World> world;
+  rt::World* world = nullptr;
   StealableDeque<Node> deque;
   PriorityShard<Node> pq;
   /// Private frontier meter (owner-paired charges; see FrontierMeter).
@@ -389,7 +421,7 @@ struct SystemExplorer::Worker {
   /// This worker's reachability-graph edges. Only the owner appends
   /// (std::deque keeps existing element addresses stable across
   /// push_back); other workers read nodes through raw parent pointers
-  /// published by the frontier-deque mutexes. Freed wholesale after join.
+  /// published by the frontier-deque mutexes. Freed wholesale at the end.
   std::deque<PathNode> arena;
   ExploreStats stats;
   std::vector<SysViolation> violations;
@@ -735,12 +767,10 @@ bool SystemExplorer::is_slept(const Node& cur, std::uint64_t key) {
 
 std::unique_ptr<std::vector<SystemExplorer::SleepEntry>>
 SystemExplorer::child_sleep(const Node& cur,
-                            const std::vector<SysAction>& actions,
                             const std::vector<ActionFootprint>& fps,
                             const std::vector<std::uint64_t>& keys,
                             const std::vector<std::size_t>& run,
                             std::size_t pos) {
-  (void)actions;
   const ActionFootprint& afp = fps[run[pos]];
   std::vector<SleepEntry> sleep;
   // Inherit the parent's surviving entries: a slept action stays covered
@@ -943,13 +973,8 @@ SysExploreResult SystemExplorer::explore() {
       opts_.order != SearchOrder::kRandomWalk) {
     reg_ = std::make_unique<AnchorRegistry>(opts_.frontier_budget_bytes);
   }
-  if (opts_.order == SearchOrder::kRandomWalk) {
-    res = random_walk();
-  } else if (opts_.workers > 1) {
-    res = graph_search_parallel();
-  } else {
-    res = graph_search();
-  }
+  res = opts_.order == SearchOrder::kRandomWalk ? random_walk()
+                                                 : graph_search();
   res.stats.wall_ms = ms_since(started_);
   return res;
 }
@@ -967,388 +992,23 @@ bool SystemExplorer::probe_root(SysExploreResult& res) {
   return res.violations.size() < opts_.max_violations;
 }
 
-SysExploreResult SystemExplorer::graph_search() {
-  SysExploreResult res;
-  CompactDigestSet visited;
-  // Sleep+dedup needs the visited set to remember the sleep signature a
-  // state was expanded with (see StripedSleepVisited); the plain digest
-  // set stays for every other configuration.
-  const bool use_sleepvis = opts_.sleep_sets && opts_.dedup;
-  StripedSleepVisited sleepvis;
-  // Budgeted dedup: the Bloom-fronted spill-to-disk set replaces the
-  // in-RAM table. The sleep-signature map is a weakening *map*, not an
-  // insert-only set, so it is not spillable and ignores the budget.
-  const bool use_tier =
-      opts_.dedup && !use_sleepvis && opts_.visited_budget_bytes > 0;
-  ScratchDir spill_scratch;
-  std::unique_ptr<TieredVisitedSet> tiered;
-  if (use_tier) {
-    spill_scratch = ScratchDir::create(opts_.spill_dir, "fixd-spill");
-    tiered = std::make_unique<TieredVisitedSet>(opts_.visited_budget_bytes,
-                                                spill_scratch.path());
-  }
-  // Checkpointing records every first insert: the next checkpoint's delta.
-  const bool ckpt = checkpointing();
-  std::vector<std::uint64_t> fresh;
-  auto visited_insert = [&](std::uint64_t h) {
-    const bool fresh_state = use_tier ? tiered->insert(h) : visited.insert(h);
-    if (fresh_state && ckpt) fresh.push_back(h);
-    return fresh_state;
-  };
-  PorState por;
-  std::vector<Node> backtracks;
-  std::deque<PathNode> arena;  // reachability-graph edges, freed at return
-
-  // kPriority frontier: a plain binary heap of (priority, Node) so pops
-  // move the node out (std::priority_queue::top forces a copy, and Node
-  // is move-only now that its sleep set lives behind a unique_ptr).
-  struct HeapEntry {
-    double pri;
-    Node n;
-  };
-  auto heap_less = [](const HeapEntry& a, const HeapEntry& b) {
-    return a.pri < b.pri;
-  };
-  std::vector<HeapEntry> pq;
-  std::deque<Node> fifo;
-
-  // A resumed search does not re-probe (or re-count) the root: the
-  // original run already did, and its checkpointed stats carry the count.
-  if (!opts_.resume_from_checkpoint && !probe_root(res)) return res;
-
-  FrontierMeter meter;
-  meter.set_charge_snapshots(reg_ == nullptr);
-
-  Node root;
-  root.depth = 0;
-  {
-    auto t0 = SteadyClock::now();
-    root.state = std::make_shared<Anchor>();
-    root.state->snap = std::make_shared<const rt::WorldSnapshot>(
-        scratch_->snapshot(/*cow=*/true));
-    res.stats.snapshot_ms += ms_since(t0);
-  }
-  if (reg_) reg_->set_root(root.state);
-  if (opts_.dedup) {
-    if (opts_.resume_from_checkpoint) {
-      // Preseed with the checkpoint's visited set (root digest included);
-      // children re-reaching pre-crash states dedup against it exactly as
-      // the uninterrupted run deduped against its own history.
-      for (std::uint64_t h : opts_.resume_visited) visited_insert(h);
-      fresh.clear();  // preseeds are not new work
-    } else {
-      const std::uint64_t h =
-          timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
-      if (use_sleepvis) {
-        std::vector<std::uint64_t> none;  // the root has no sleep set
-        sleepvis.visit(h, none);
-      } else {
-        visited_insert(h);
-      }
-    }
-  }
-  if (opts_.por) por.root = root.state;
-
-  auto push_frontier = [&](Node&& nd, double pri) {
-    meter.push(nd);
-    if (opts_.order == SearchOrder::kPriority) {
-      pq.push_back({pri, std::move(nd)});
-      std::push_heap(pq.begin(), pq.end(), heap_less);
-    } else {
-      fifo.push_back(std::move(nd));
-    }
-  };
-
-  if (opts_.resume_from_checkpoint) {
-    // Re-plant the captured frontier in captured order: push_back then
-    // BFS pop_front / DFS pop_back reproduces the uninterrupted run's pop
-    // sequence exactly.
-    for (Node& nd : resume_nodes(root.state, arena)) {
-      push_frontier(std::move(nd), 0.0);
-    }
-  } else {
-    double pri = opts_.order == SearchOrder::kPriority && opts_.priority
-                     ? opts_.priority(*scratch_)
-                     : 0.0;
-    push_frontier(std::move(root), pri);
-  }
-
-  auto finish = [&]() {
-    res.stats.peak_frontier_bytes = meter.peak();
-    if (reg_) {
-      // Meter (node shells) + registry (resident anchor snapshots); see
-      // the FrontierMeter comment for why budgeted mode splits these.
-      res.stats.peak_frontier_bytes += reg_->peak_resident();
-      res.stats.anchor_evictions = reg_->evictions();
-    }
-    if (opts_.dedup) {
-      if (use_tier) {
-        res.stats.visited_resident_bytes = tiered->resident_bytes();
-        res.stats.visited_peak_resident_bytes = tiered->peak_resident_bytes();
-        res.stats.visited_spilled_bytes = tiered->spilled_bytes();
-        res.stats.spilled_bytes = tiered->spill_bytes_written();
-        res.stats.bloom_fp_rate = tiered->bloom_fp_rate();
-      } else {
-        res.stats.visited_resident_bytes =
-            use_sleepvis ? sleepvis.bytes() : visited.bytes();
-        res.stats.visited_peak_resident_bytes =
-            res.stats.visited_resident_bytes;
-      }
-    }
-    if (opts_.collect_visited) {
-      if (use_sleepvis) {
-        res.visited = sleepvis.sorted_contents();
-      } else if (use_tier) {
-        res.visited = tiered->sorted_contents();
-      } else {
-        visited.for_each(
-            [&](std::uint64_t v) { res.visited.push_back(v); });
-        std::sort(res.visited.begin(), res.visited.end());
-      }
-    }
-  };
-
-  // In-place checkpoint at the clean boundary before a pop (see
-  // SysCheckpointHook). Only kBfs/kDfs get here, so `fifo` is the frontier.
-  std::uint64_t ckpt_base = 0;
-  std::size_t violations_reported = 0;
-  auto checkpoint = [&]() {
-    SysCheckpoint ck;
-    std::sort(fresh.begin(), fresh.end());
-    ck.new_visited.swap(fresh);
-    ck.new_violations.assign(res.violations.begin() + violations_reported,
-                             res.violations.end());
-    violations_reported = res.violations.size();
-    // Front to back: resume's push_back sequence restores the identical
-    // pop order for both kBfs (pop_front) and kDfs (pop_back).
-    ck.frontier.reserve(fifo.size());
-    for (const Node& nd : fifo) ck.frontier.push_back(trail_of(nd.path));
-    ck.stats = res.stats;
-    ck.stats.wall_ms = ms_since(started_);
-    ckpt_base = res.stats.states;
-    return opts_.checkpoint.fn(ck);
-  };
-
-  while (true) {
-    if (ckpt && !fifo.empty() &&
-        res.stats.states - ckpt_base >= opts_.checkpoint.every_states &&
-        !checkpoint()) {
-      break;
-    }
-    Node cur;
-    if (opts_.order == SearchOrder::kPriority) {
-      if (pq.empty()) break;
-      std::pop_heap(pq.begin(), pq.end(), heap_less);
-      cur = std::move(pq.back().n);
-      pq.pop_back();
-    } else if (opts_.order == SearchOrder::kBfs) {
-      if (fifo.empty()) break;
-      cur = std::move(fifo.front());
-      fifo.pop_front();
-    } else {
-      if (fifo.empty()) break;
-      cur = std::move(fifo.back());
-      fifo.pop_back();
-    }
-    meter.pop(cur);
-
-    if (cur.depth >= opts_.max_depth) {
-      res.stats.truncated = true;
-      continue;
-    }
-
-    materialize(*scratch_, cur, res.stats);
-    std::vector<SysAction> actions = enabled_actions(*scratch_);
-
-    // Trail mode: when the children's replay distance would reach the
-    // interval, snapshot the parent state (scratch_ holds it right now)
-    // once and re-anchor cur on it — every child then hangs one action
-    // off this shared anchor (one anchor per expanded node, not per
-    // child), and the per-action materialize calls below replay nothing.
-    // Snapshot mode re-anchors whenever replay_len > 0: the only such
-    // nodes are POR backtracks (root anchor + full-path replay), and one
-    // snapshot here beats replaying the prefix once per child.
-    if (!actions.empty() &&
-        (opts_.trail_frontier ? cur.replay_len + 1 >= opts_.anchor_interval
-                              : cur.replay_len > 0)) {
-      auto t0 = SteadyClock::now();
-      auto anchor = std::make_shared<Anchor>();
-      anchor->snap = std::make_shared<const rt::WorldSnapshot>(
-          scratch_->snapshot(/*cow=*/true));
-      res.stats.snapshot_ms += ms_since(t0);
-      if (reg_) {
-        // Evictable: record the root-relative rebuild recipe first.
-        anchor->path = cur.path;
-        anchor->depth = cur.depth;
-        reg_->admit(anchor);
-      }
-      cur.state = std::move(anchor);
-      cur.replay_len = 0;
-    }
-
-    // Keys and footprints are computed against the pre-state (footprints
-    // peek queued messages to resolve channels), before any action runs.
-    const std::size_t n_act = actions.size();
-    std::vector<std::uint64_t> keys(n_act);
-    std::vector<ActionFootprint> fps(n_act);
-    for (std::size_t i = 0; i < n_act; ++i) {
-      keys[i] = action_key(actions[i]);
-      fps[i] = footprint(*scratch_, actions[i]);
-    }
-
-    std::uint64_t cur_digest = 0;
-    std::vector<std::size_t> run;
-    if (opts_.por && n_act > 0) {
-      cur_digest =
-          timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
-      run = por_select(por, cur_digest, actions, fps, keys, cur, res.stats);
-    } else {
-      run.resize(n_act);
-      for (std::size_t i = 0; i < n_act; ++i) run[i] = i;
-    }
-
-    for (std::size_t pos = 0; pos < run.size(); ++pos) {
-      const std::size_t i = run[pos];
-      const SysAction& a = actions[i];
-      const std::uint64_t akey = keys[i];
-      const ActionFootprint& afp = fps[i];
-
-      if (opts_.sleep_sets && is_slept(cur, akey)) continue;
-
-      materialize(*scratch_, cur, res.stats);
-      scratch_->clear_violations();
-      apply_action(*scratch_, a);
-      ++res.stats.transitions;
-
-      if (opts_.por) {
-        por_race_detect(por, cur, afp, akey, backtracks, res.stats);
-        for (Node& b : backtracks) push_frontier(std::move(b), 0.0);
-        backtracks.clear();
-      }
-
-      arena.push_back({cur.path, a, afp, cur_digest});
-      const PathNode* path = &arena.back();
-      std::size_t depth = cur.depth + 1;
-
-      if (!scratch_->violations().empty()) {
-        for (const rt::Violation& v : scratch_->violations()) {
-          res.violations.push_back({v, trail_of(path), depth});
-          if (res.violations.size() >= opts_.max_violations) {
-            finish();
-            return res;
-          }
-        }
-      }
-
-      auto sleep = opts_.sleep_sets
-                       ? child_sleep(cur, actions, fps, keys, run, pos)
-                       : nullptr;
-
-      bool reexpand_child = false;
-      if (opts_.dedup) {
-        std::uint64_t h =
-            timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
-        if (use_sleepvis) {
-          std::vector<std::uint64_t> skeys;
-          if (sleep) {
-            skeys.reserve(sleep->size());
-            for (const SleepEntry& e : *sleep) skeys.push_back(e.key);
-            std::sort(skeys.begin(), skeys.end());
-          }
-          std::vector<std::uint64_t> released;
-          const auto verdict =
-              sleepvis.visit(h, skeys, opts_.por ? &released : nullptr);
-          if (verdict == StripedSleepVisited::Verdict::kPrune) {
-            ++res.stats.duplicates;
-            arena.pop_back();  // never published; nothing references it
-            continue;
-          }
-          if (verdict == StripedSleepVisited::Verdict::kReexpand) {
-            // Duplicate state, but the stored expansion ran with a sleep
-            // set that is not a subset of this arrival's — its coverage
-            // claim does not hold for this path. Re-expand with the
-            // intersection; no fresh state is counted.
-            ++res.stats.duplicates;
-            ++res.stats.sleep_reexpansions;
-            reexpand_child = true;
-            if (sleep) {
-              sleep->erase(
-                  std::remove_if(sleep->begin(), sleep->end(),
-                                 [&](const SleepEntry& e) {
-                                   return !std::binary_search(
-                                       skeys.begin(), skeys.end(), e.key);
-                                 }),
-                  sleep->end());
-              if (sleep->empty()) sleep.reset();
-            }
-            // POR selection at the re-expanded node seeds from pending —
-            // force the released keys onto its work list, or the
-            // re-expansion would find nothing to run.
-            for (std::uint64_t k : released) por.recs.seed_pending(h, k);
-          }
-        } else if (!visited_insert(h)) {
-          ++res.stats.duplicates;
-          arena.pop_back();  // never published; nothing references it
-          continue;
-        }
-      }
-      if (!reexpand_child) {
-        ++res.stats.states;
-        res.stats.max_depth =
-            std::max<std::uint64_t>(res.stats.max_depth, depth);
-        if (res.stats.states >= opts_.max_states) {
-          res.stats.truncated = true;
-          finish();
-          return res;
-        }
-      }
-
-      Node child;
-      child.path = path;
-      child.depth = static_cast<std::uint32_t>(depth);
-      if (!opts_.trail_frontier) {
-        auto t0 = SteadyClock::now();
-        child.state = std::make_shared<Anchor>();
-        child.state->snap = std::make_shared<const rt::WorldSnapshot>(
-            scratch_->snapshot(/*cow=*/true));
-        res.stats.snapshot_ms += ms_since(t0);
-      } else {
-        // The expansion loop re-anchored the parent when its children
-        // would exceed the interval, so extending by one is always valid.
-        child.state = cur.state;
-        child.replay_len = cur.replay_len + 1;
-      }
-      child.sleep = std::move(sleep);
-      double pri = 0.0;
-      if (opts_.order == SearchOrder::kPriority && opts_.priority) {
-        pri = opts_.priority(*scratch_);
-      }
-      push_frontier(std::move(child), pri);
-    }
-  }
-  finish();
-  return res;
-}
-
 // ---------------------------------------------------------------------------
-// Parallel graph search
+// Graph search
 // ---------------------------------------------------------------------------
 
-// expand() re-states the sequential expansion loop's *control flow*
-// (re-anchoring, violation/dedup/budget order): graph_search() is the
-// trusted oracle the differential suite (tests/test_mc_parallel.cpp)
-// compares this code against, and sharing the whole body would make that
-// comparison vacuous. The *reduction semantics*, however — footprints,
-// is_slept, child_sleep inherit/extend, POR selection and race detection —
-// live in shared helpers on purpose: an independence rule that drifted
-// between the sequential and parallel paths would be an unsoundness the
-// differential could only catch by luck, so that logic has exactly one
-// definition. Any control-flow change here must be mirrored in
-// graph_search(), and the differential tests enforce the equivalence.
+// One search core for every worker count: worker_loop pops, expand() runs
+// one node's expansion. The reduction semantics — footprints, is_slept,
+// child_sleep, POR selection and race detection — live in shared helpers.
+// tests/test_mc_parallel.cpp pins the core from two sides: several workers
+// must visit the one-worker run's state set with its counts, and the
+// one-worker run must reproduce pinned outputs (SingleWorkerGolden).
 void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
   rt::World& w = *me.world;
   ExploreStats& stats = me.stats;
   const bool use_sleepvis = opts_.sleep_sets && opts_.dedup;
+  // Only other workers can steal a node, so only then are snapshots marked
+  // for cross-thread use (marking turns off in-place reuse of buffers).
+  const bool share = sh.workers.size() > 1;
   std::vector<Node> backtracks;
 
   if (cur.depth >= opts_.max_depth) {
@@ -1359,20 +1019,26 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
   materialize(w, cur, stats);
   std::vector<SysAction> actions = enabled_actions(w);
 
-  // Re-anchoring, as in the sequential search (snapshot mode re-anchors
-  // POR backtrack nodes, the only replay_len > 0 nodes it produces); the
-  // fresh anchor is marked shared because any child may be stolen.
+  // Trail mode: when the children's replay distance would reach the
+  // interval, snapshot the parent state (w holds it right now) once and
+  // re-anchor cur on it — every child then hangs one action off this
+  // shared anchor (one anchor per expanded node, not per child), and the
+  // per-action materialize calls below replay nothing. Snapshot mode
+  // re-anchors whenever replay_len > 0: the only such nodes are POR
+  // backtracks (root anchor + full-path replay), and one snapshot here
+  // beats replaying the prefix once per child.
   if (!actions.empty() &&
       (opts_.trail_frontier ? cur.replay_len + 1 >= opts_.anchor_interval
                             : cur.replay_len > 0)) {
     auto t0 = SteadyClock::now();
     auto snap = std::make_shared<const rt::WorldSnapshot>(
         w.snapshot(/*cow=*/true));
-    snap->share_across_threads();
+    if (share) snap->share_across_threads();
     stats.snapshot_ms += ms_since(t0);
     auto anchor = std::make_shared<Anchor>();
     anchor->snap = std::move(snap);
     if (reg_) {
+      // Evictable: record the root-relative rebuild recipe first.
       anchor->path = cur.path;
       anchor->depth = cur.depth;
       reg_->admit(anchor);
@@ -1381,7 +1047,8 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     cur.replay_len = 0;
   }
 
-  // Keys and footprints against the pre-state, as in graph_search().
+  // Keys and footprints are computed against the pre-state (footprints
+  // peek queued messages to resolve channels), before any action runs.
   const std::size_t n_act = actions.size();
   std::vector<std::uint64_t> keys(n_act);
   std::vector<ActionFootprint> fps(n_act);
@@ -1451,7 +1118,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     }
 
     auto sleep = opts_.sleep_sets
-                     ? child_sleep(cur, actions, fps, keys, run, pos)
+                     ? child_sleep(cur, fps, keys, run, pos)
                      : nullptr;
 
     bool reexpand_child = false;
@@ -1476,9 +1143,10 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
           continue;
         }
         if (verdict == StripedSleepVisited::Verdict::kReexpand) {
-          // Duplicate state whose stored expansion slept actions this
-          // arrival path does not cover; re-expand with the intersection
-          // (see graph_search()).
+          // Duplicate state, but the stored expansion ran with a sleep set
+          // that is not a subset of this arrival's — its coverage claim
+          // does not hold for this path. Re-expand with the intersection;
+          // no fresh state is counted.
           ++stats.duplicates;
           ++stats.sleep_reexpansions;
           reexpand_child = true;
@@ -1492,9 +1160,12 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
                 sleep->end());
             if (sleep->empty()) sleep.reset();
           }
+          // POR selection at the re-expanded node seeds from pending —
+          // force the released keys onto its work list, or the
+          // re-expansion would find nothing to run.
           for (std::uint64_t k : released) sh.por.recs.seed_pending(h, k);
         }
-      } else if (!(sh.tiered ? sh.tiered->insert(h) : sh.visited.insert(h))) {
+      } else if (!sh.insert_visited(h)) {
         ++stats.duplicates;
         // The edge (if allocated for the violation trail above) was never
         // published to a frontier node; the Trail copied its actions.
@@ -1528,9 +1199,11 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
       child.state->snap = std::make_shared<const rt::WorldSnapshot>(
           w.snapshot(/*cow=*/true));
       // Publish before the push below makes the node stealable.
-      child.state->snap->share_across_threads();
+      if (share) child.state->snap->share_across_threads();
       stats.snapshot_ms += ms_since(t0);
     } else {
+      // The expansion loop re-anchored the parent when its children would
+      // exceed the interval, so extending by one is always valid.
       child.state = cur.state;
       child.replay_len = cur.replay_len + 1;
     }
@@ -1624,11 +1297,8 @@ void SystemExplorer::worker_loop(Shared& sh, Worker& me) {
     idle_rounds = 0;
     try {
       expand(sh, me, std::move(cur));
-    } catch (const std::exception& e) {
-      {
-        std::lock_guard<std::mutex> lk(sh.err_mu);
-        if (sh.error.empty()) sh.error = e.what();
-      }
+    } catch (...) {
+      sh.error.capture();
       sh.stop.store(true, std::memory_order_release);
       sh.active.fetch_sub(1);
       return;
@@ -1684,7 +1354,7 @@ void SystemExplorer::checkpoint_parked(Shared& sh) {
     try {
       go_on = opts_.checkpoint.fn(ck);
     } catch (...) {
-      sh.hook_error = std::current_exception();
+      sh.error.capture();
     }
     if (!go_on) sh.stop.store(true, std::memory_order_release);
   }
@@ -1714,84 +1384,102 @@ void SystemExplorer::merge_counters(const Shared& sh, ExploreStats& out) {
   out.workers = sh.workers.size();
 }
 
-SysExploreResult SystemExplorer::graph_search_parallel() {
+template <typename Body>
+void SystemExplorer::run_workers(std::size_t n, const rt::WorldSnapshot& root,
+                                 Body&& body) {
+  if (n == 1) {
+    body(std::size_t{0}, *scratch_);
+    return;
+  }
+  // Marked before any thread exists, so in-place mutation of the root's
+  // buffers is off for good; every clone restores from it.
+  root.share_across_threads();
+  std::vector<std::unique_ptr<rt::World>> worlds(n);
+  for (auto& w : worlds) {
+    w = scratch_->clone_from_snapshot(root);
+    if (opts_.install_invariants) opts_.install_invariants(*w);
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    threads.emplace_back([&body, &worlds, i] { body(i, *worlds[i]); });
+  }
+  for (auto& t : threads) t.join();
+}
+
+SysExploreResult SystemExplorer::graph_search() {
   SysExploreResult res;
+  // A resumed search does not re-probe (or re-count) the root: the
+  // original run already did, and its checkpointed stats carry the count.
   if (!opts_.resume_from_checkpoint && !probe_root(res)) return res;
 
   const std::size_t n_workers = std::max<std::size_t>(1, opts_.workers);
-  Shared sh;
+  Shared sh(n_workers > 1 ? kStripes : 1);
 
-  // One COW snapshot of the investigated state, shared by the root node
-  // and every worker world; marked before any thread exists so in-place
-  // mutation of its buffers is off for good.
-  auto root_ws = std::make_shared<const rt::WorldSnapshot>(
-      scratch_->snapshot(/*cow=*/true));
-  root_ws->share_across_threads();
+  // One COW snapshot of the investigated state: the root node's state, the
+  // pinned anchor that POR backtracks and evicted anchors replay from, and
+  // the image every worker world is cloned from.
   auto root_anchor = std::make_shared<Anchor>();
-  root_anchor->snap = root_ws;
+  {
+    auto t0 = SteadyClock::now();
+    root_anchor->snap = std::make_shared<const rt::WorldSnapshot>(
+        scratch_->snapshot(/*cow=*/true));
+    res.stats.snapshot_ms += ms_since(t0);
+  }
   if (reg_) reg_->set_root(root_anchor);
+  // Sleep+dedup needs the visited set to remember the sleep signature a
+  // state was expanded with (see StripedSleepVisited). Budgeted dedup swaps
+  // the in-RAM table for the Bloom-fronted spill-to-disk set; the sleep
+  // map is a weakening *map*, not an insert-only set, so it cannot spill
+  // and ignores the budget.
   const bool use_sleepvis = opts_.sleep_sets && opts_.dedup;
   if (opts_.dedup && !use_sleepvis && opts_.visited_budget_bytes > 0) {
     sh.spill_scratch = ScratchDir::create(opts_.spill_dir, "fixd-spill");
     sh.tiered = std::make_unique<TieredVisitedSet>(
         opts_.visited_budget_bytes, sh.spill_scratch.path());
   }
-  std::vector<std::uint64_t> root_fresh;  // the first checkpoint's delta
+  for (std::size_t i = 0; i < n_workers; ++i) {
+    auto wk = std::make_unique<Worker>();
+    wk->id = i;
+    wk->meter.set_charge_snapshots(reg_ == nullptr);
+    sh.workers.push_back(std::move(wk));
+  }
+  // The root's digest and violations belong to worker 0: the first
+  // checkpoint's delta, and the head of the merged violation list.
+  Worker& first = *sh.workers[0];
+  first.violations = std::move(res.violations);
+  res.violations.clear();
   if (opts_.dedup) {
     if (opts_.resume_from_checkpoint) {
-      for (std::uint64_t h : opts_.resume_visited) {
-        if (sh.tiered) {
-          sh.tiered->insert(h);
-        } else {
-          sh.visited.insert(h);
-        }
-      }
+      // Preseed with the checkpoint's visited set (root digest included);
+      // children re-reaching pre-crash states dedup against it exactly as
+      // the uninterrupted run deduped against its own history.
+      for (std::uint64_t h : opts_.resume_visited) sh.insert_visited(h);
     } else {
       const std::uint64_t h =
           timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
-      if (checkpointing()) root_fresh.push_back(h);
+      if (checkpointing()) first.fresh.push_back(h);
       if (use_sleepvis) {
         std::vector<std::uint64_t> none;  // the root has no sleep set
         sh.sleepvis.visit(h, none);
-      } else if (sh.tiered) {
-        sh.tiered->insert(h);
       } else {
-        sh.visited.insert(h);
+        sh.insert_visited(h);
       }
     }
   }
   if (opts_.por) sh.por.root = root_anchor;
   sh.states.store(res.stats.states);  // the probed root
-  // Root violations count against the budget exactly as in the
-  // sequential search.
-  sh.violation_count.store(res.violations.size());
-
-  Node root;
-  root.depth = 0;
-  // Both modes share the one root snapshot object (snapshot mode nodes
-  // are "anchor + zero replay" in the unified representation).
-  root.state = root_anchor;
-
-  for (std::size_t i = 0; i < n_workers; ++i) {
-    auto wk = std::make_unique<Worker>();
-    wk->id = i;
-    wk->world = scratch_->clone_from_snapshot(*root_ws);
-    if (opts_.install_invariants) opts_.install_invariants(*wk->world);
-    wk->meter.set_charge_snapshots(reg_ == nullptr);
-    sh.workers.push_back(std::move(wk));
-  }
-  // The root's digest and violations belong to the first checkpoint's
-  // delta; the violations merge back into the result ahead of any worker's.
-  sh.workers[0]->fresh = std::move(root_fresh);
-  sh.workers[0]->violations = std::move(res.violations);
-  res.violations.clear();
+  // Root violations count against the budget like any other.
+  sh.violation_count.store(first.violations.size());
 
   if (opts_.resume_from_checkpoint) {
-    // Re-plant the checkpoint frontier round-robin. Path chains go into
-    // worker 0's arena (pre-thread, so single-writer holds); readers
-    // reach them through the frontier-deque mutexes as usual. kPriority
-    // is rejected by check_checkpoint_options, so deques suffice.
-    std::vector<Node> nodes = resume_nodes(root_anchor, sh.workers[0]->arena);
+    // Re-plant the checkpoint frontier round-robin, in captured order: at
+    // one worker, push_back then BFS pop_front / DFS pop_back reproduces
+    // the uninterrupted run's pop sequence exactly. Path chains go into
+    // worker 0's arena (before any worker runs, so single-writer holds);
+    // readers reach them through the frontier-deque mutexes as usual.
+    // kPriority is rejected by check_checkpoint_options, so deques suffice.
+    std::vector<Node> nodes = resume_nodes(root_anchor, first.arena);
     sh.active.store(nodes.size());
     std::size_t wi = 0;
     for (Node& nd : nodes) {
@@ -1801,33 +1489,28 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
       wi = (wi + 1) % n_workers;
     }
   } else {
+    // Snapshot-mode nodes are "anchor + zero replay", so both frontier
+    // modes start from the one root anchor.
+    Node root;
+    root.state = root_anchor;
     sh.active.store(1);
-    root.owner = 0;
-    sh.workers[0]->meter.push(root);
+    first.meter.push(root);
     if (opts_.order == SearchOrder::kPriority) {
       double pri = opts_.priority ? opts_.priority(*scratch_) : 0.0;
-      sh.workers[0]->pq.push(pri, std::move(root));
+      first.pq.push(pri, std::move(root));
     } else {
-      sh.workers[0]->deque.push_back(std::move(root));
+      first.deque.push_back(std::move(root));
     }
   }
 
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(n_workers);
-    sh.live = n_workers;
-    for (std::size_t i = 0; i < n_workers; ++i) {
-      threads.emplace_back([this, &sh, i] {
-        worker_loop(sh, *sh.workers[i]);
-        leave(sh);
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  if (sh.hook_error) std::rethrow_exception(sh.hook_error);
-  if (!sh.error.empty()) {
-    throw FixdError("parallel explorer worker failed: " + sh.error);
-  }
+  sh.live = n_workers;
+  run_workers(n_workers, *root_anchor->snap, [&](std::size_t i, rt::World& w) {
+    Worker& me = *sh.workers[i];
+    me.world = &w;
+    worker_loop(sh, me);
+    leave(sh);
+  });
+  sh.error.rethrow();
 
   // Merge. The shared counter is the state total (root included); timing
   // counters sum across workers (CPU time, can exceed wall time).
@@ -1839,15 +1522,20 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
         std::max(res.stats.peak_frontier_bytes_max_worker, wk->meter.peak());
     for (auto& v : wk->violations) res.violations.push_back(std::move(v));
   }
-  // Violations arrive in nondeterministic worker order; re-sort into a
-  // stable shape (shallowest first, ties by invariant name). The count may
-  // exceed max_violations by the few found concurrently with the stop.
-  std::stable_sort(res.violations.begin(), res.violations.end(),
-                   [](const SysViolation& a, const SysViolation& b) {
-                     if (a.depth != b.depth) return a.depth < b.depth;
-                     return a.violation.invariant < b.violation.invariant;
-                   });
+  if (n_workers > 1) {
+    // Violations arrive in nondeterministic worker order; re-sort into a
+    // stable shape (shallowest first, ties by invariant name). The count
+    // may exceed max_violations by the few found concurrently with the
+    // stop. One worker reports in discovery order.
+    std::stable_sort(res.violations.begin(), res.violations.end(),
+                     [](const SysViolation& a, const SysViolation& b) {
+                       if (a.depth != b.depth) return a.depth < b.depth;
+                       return a.violation.invariant < b.violation.invariant;
+                     });
+  }
   if (reg_) {
+    // Meter (node shells) + registry (resident anchor snapshots); see the
+    // FrontierMeter comment for why budgeted mode splits these.
     res.stats.peak_frontier_bytes += reg_->peak_resident();
     res.stats.anchor_evictions = reg_->evictions();
   }
@@ -1879,20 +1567,25 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
 // (seed, walk index) — never shared across walks — so sharding the walk
 // budget over workers cannot change any trajectory: workers == k runs
 // exactly the walks workers == 1 runs (violations are re-sorted into walk
-// order). The only divergence is the early stop: a parallel run may
-// finish the few walks in flight when the violation budget fills, so it
-// can report slightly more walks' worth of violations than a sequential
-// run that stopped between walks.
+// order). The only divergence is the early stop: with several workers a
+// run may finish the few walks in flight when the violation budget fills,
+// so it can report slightly more walks' worth of violations than a
+// one-worker run, which stops between walks.
 SysExploreResult SystemExplorer::random_walk() {
   SysExploreResult res;
 
-  rt::WorldSnapshot root = scratch_->snapshot(/*cow=*/true);
+  const rt::WorldSnapshot root = scratch_->snapshot(/*cow=*/true);
 
-  /// One walk on `w`, appending (walk-tagged) violations to `out`.
-  auto run_walk = [&](rt::World& w, std::deque<PathNode>& arena,
-                      std::size_t walk, ExploreStats& stats,
-                      std::vector<std::pair<std::size_t, SysViolation>>& out)
-      -> std::size_t {
+  struct WalkWorker {
+    std::deque<PathNode> arena;
+    ExploreStats stats;
+    /// (walk index, violation) in this worker's discovery order.
+    std::vector<std::pair<std::size_t, SysViolation>> violations;
+  };
+
+  /// One walk on `w`; returns how many violations it appended to `me`.
+  auto run_walk = [&](rt::World& w, WalkWorker& me,
+                      std::size_t walk) -> std::size_t {
     Rng rng(hash_combine(opts_.seed, walk));
     w.restore(root);
     w.clear_violations();
@@ -1903,14 +1596,14 @@ SysExploreResult SystemExplorer::random_walk() {
       if (actions.empty()) break;
       const SysAction& a = actions[rng.next_below(actions.size())];
       apply_action(w, a);
-      ++stats.transitions;
-      ++stats.states;
-      arena.push_back({cur_path, a, ActionFootprint{}, 0});
-      cur_path = &arena.back();
-      stats.max_depth = std::max<std::uint64_t>(stats.max_depth, d + 1);
+      ++me.stats.transitions;
+      ++me.stats.states;
+      me.arena.push_back({cur_path, a, ActionFootprint{}, 0});
+      cur_path = &me.arena.back();
+      me.stats.max_depth = std::max<std::uint64_t>(me.stats.max_depth, d + 1);
       if (!w.violations().empty()) {
         for (const rt::Violation& v : w.violations()) {
-          out.push_back({walk, {v, trail_of(cur_path), d + 1}});
+          me.violations.push_back({walk, {v, trail_of(cur_path), d + 1}});
           ++found;
         }
         break;
@@ -1922,80 +1615,43 @@ SysExploreResult SystemExplorer::random_walk() {
   const std::size_t n_workers = std::min<std::size_t>(
       std::max<std::size_t>(1, opts_.workers),
       std::max<std::size_t>(1, opts_.walk_restarts));
+  std::vector<WalkWorker> workers(n_workers);
+  std::atomic<std::size_t> next_walk{0};
+  std::atomic<std::size_t> violation_count{0};
+  std::atomic<bool> stop{false};
+  FirstError error;
+
+  run_workers(n_workers, root, [&](std::size_t i, rt::World& w) {
+    try {
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::size_t walk = next_walk.fetch_add(1);
+        if (walk >= opts_.walk_restarts) return;
+        const std::size_t found = run_walk(w, workers[i], walk);
+        if (violation_count.fetch_add(found) + found >=
+            opts_.max_violations) {
+          stop.store(true, std::memory_order_release);
+        }
+      }
+    } catch (...) {
+      error.capture();
+      stop.store(true, std::memory_order_release);
+    }
+  });
+  error.rethrow();
 
   std::vector<std::pair<std::size_t, SysViolation>> tagged;
-  if (n_workers <= 1) {
-    std::deque<PathNode> arena;
-    std::size_t found = 0;
-    for (std::size_t walk = 0; walk < opts_.walk_restarts; ++walk) {
-      found += run_walk(*scratch_, arena, walk, res.stats, tagged);
-      if (found >= opts_.max_violations) break;
-    }
-  } else {
-    root.share_across_threads();
-    std::atomic<std::size_t> next_walk{0};
-    std::atomic<std::size_t> violation_count{0};
-    std::atomic<bool> stop{false};
-    std::mutex err_mu;
-    std::string error;
-
-    struct WalkWorker {
-      std::unique_ptr<rt::World> world;
-      std::deque<PathNode> arena;
-      ExploreStats stats;
-      std::vector<std::pair<std::size_t, SysViolation>> violations;
-    };
-    std::vector<WalkWorker> workers(n_workers);
-    for (auto& wk : workers) {
-      wk.world = scratch_->clone_from_snapshot(root);
-      if (opts_.install_invariants) opts_.install_invariants(*wk.world);
-    }
-
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(n_workers);
-      for (std::size_t i = 0; i < n_workers; ++i) {
-        threads.emplace_back([&, i] {
-          WalkWorker& me = workers[i];
-          try {
-            while (!stop.load(std::memory_order_acquire)) {
-              std::size_t walk = next_walk.fetch_add(1);
-              if (walk >= opts_.walk_restarts) return;
-              std::size_t found = run_walk(*me.world, me.arena, walk,
-                                           me.stats, me.violations);
-              if (found > 0 && violation_count.fetch_add(found) + found >=
-                                   opts_.max_violations) {
-                stop.store(true, std::memory_order_release);
-              }
-            }
-          } catch (const std::exception& e) {
-            {
-              std::lock_guard<std::mutex> lk(err_mu);
-              if (error.empty()) error = e.what();
-            }
-            stop.store(true, std::memory_order_release);
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    if (!error.empty()) {
-      throw FixdError("parallel random walk worker failed: " + error);
-    }
-
-    for (auto& wk : workers) {
-      res.stats.transitions += wk.stats.transitions;
-      res.stats.states += wk.stats.states;
-      res.stats.max_depth = std::max(res.stats.max_depth, wk.stats.max_depth);
-      for (auto& v : wk.violations) tagged.push_back(std::move(v));
-    }
-    // Walks complete in nondeterministic worker order; walk-index order is
-    // the sequential report order.
-    std::stable_sort(tagged.begin(), tagged.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
+  for (auto& wk : workers) {
+    res.stats.transitions += wk.stats.transitions;
+    res.stats.states += wk.stats.states;
+    res.stats.max_depth = std::max(res.stats.max_depth, wk.stats.max_depth);
+    for (auto& v : wk.violations) tagged.push_back(std::move(v));
   }
+  // Walks complete in nondeterministic worker order; walk-index order is
+  // the one-worker report order.
+  std::stable_sort(tagged.begin(), tagged.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
   res.stats.workers = n_workers;
   res.violations.reserve(tagged.size());
   for (auto& [walk, v] : tagged) res.violations.push_back(std::move(v));

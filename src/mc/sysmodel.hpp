@@ -176,8 +176,8 @@ struct SysExploreOptions {
   /// defers the rest; every executed transition is then checked for races
   /// against the footprints along its path, and a race re-expands the
   /// ancestor state with the deferred action (a root-anchored backtrack
-  /// node — works in snapshot and trail frontier modes and in the
-  /// parallel expand() path alike). Soundness: deferred actions are
+  /// node — works in snapshot and trail frontier modes and at any worker
+  /// count alike). Soundness: deferred actions are
   /// independent of the explored suffix until a race fires, so every
   /// violation of a *stable* predicate (one that keeps holding once
   /// reached, e.g. conflicting-decision or divergence invariants) is
@@ -200,26 +200,30 @@ struct SysExploreOptions {
   /// anchor reaches this many actions (trades replay time for memory).
   std::size_t anchor_interval = 8;
 
-  /// Worker threads. 1 = the sequential explorer. For graph searches
-  /// (kDfs/kBfs/kPriority) the frontier is sharded across workers (one
-  /// private scratch world each, work-stealing deques — per-worker
-  /// best-effort-top priority heaps for kPriority — and a lock-striped
-  /// visited set). kRandomWalk shards the walk budget instead: each walk
-  /// draws from an RNG derived from (seed, walk index), so any worker
-  /// count runs the exact same trajectories — results match the
-  /// sequential walk modulo the early stop when max_violations fills
-  /// mid-flight.
+  /// Workers. Every count runs the same search core. One worker (0 counts
+  /// as 1) runs inline on the calling thread: no thread, no world clone,
+  /// snapshots never marked for cross-thread use, one-stripe shared
+  /// tables, and violations in discovery order. With more, graph searches
+  /// (kDfs/kBfs/kPriority) shard the frontier across threads (one private
+  /// world each, work-stealing deques — per-worker best-effort-top
+  /// priority heaps for kPriority — and a lock-striped visited set).
+  /// kRandomWalk shards the walk budget instead: each walk draws from an
+  /// RNG derived from (seed, walk index), so any worker count runs the
+  /// exact same trajectories — results match the one-worker walk modulo
+  /// the early stop when max_violations fills mid-flight.
   ///
-  /// Determinism contract (tested by tests/test_mc_parallel.cpp): with
-  /// dedup on, no sleep sets, and budgets that don't truncate, the
-  /// parallel search visits exactly the sequential explorer's canonical
-  /// state set and state/transition counts; violations are reported as an
-  /// unordered set (stably re-sorted by depth), and every reported trail
-  /// replays on a fresh sequential world. Sleep-set pruning, por, and
-  /// truncated budgets are traversal-order-sensitive, so for them the
-  /// guarantee is soundness (a subset of the reachable graph) plus the
-  /// reduction property (same violation set as the unreduced search,
-  /// pinned differentially per worker count) — not visited-set identity.
+  /// Determinism contract (tested by tests/test_mc_parallel.cpp): a
+  /// one-worker search is fully deterministic, trails and violation order
+  /// included. With dedup on, no sleep sets, and budgets that don't
+  /// truncate, more workers visit exactly the one-worker canonical state
+  /// set with its state/transition counts; violations are then reported
+  /// as an unordered set (stably re-sorted by depth), and every reported
+  /// trail replays on a fresh world (replay_trail). Sleep-set pruning,
+  /// por, and truncated budgets are traversal-order-sensitive, so for
+  /// them the guarantee is soundness (a subset of the reachable graph)
+  /// plus the reduction property (same violation set as the unreduced
+  /// search, pinned differentially per worker count) — not visited-set
+  /// identity.
   /// Priority/install_invariants callbacks must be thread-safe (stateless
   /// lambdas are; every in-tree installer qualifies). kPriority's pop
   /// order is best-effort global across the per-worker heaps (stale top
@@ -254,8 +258,8 @@ struct SysExploreOptions {
   std::string spill_dir;
 
   /// Test hook: return the visited canonical-digest set (sorted) in
-  /// SysExploreResult::visited — the differential suites compare parallel
-  /// against sequential with this.
+  /// SysExploreResult::visited — the differential suites compare worker
+  /// counts against each other with this.
   bool collect_visited = false;
 
   /// Heuristic for kPriority order (higher first).
@@ -271,7 +275,7 @@ struct SysExploreOptions {
   // *checkpointable* — at a clean node boundary, hand out {new visited
   // digests, new violations, frontier-as-trails} and keep going; a later
   // explorer (even in a fresh process) that folds every checkpoint so far
-  // resumes to the identical final visited set, and sequential BFS/DFS
+  // resumes to the identical final visited set, and one-worker BFS/DFS
   // additionally preserve the exact pop order, so violation trails come
   // back byte-identical. src/svc/jobd.cpp builds durable, kill -9
   // survivable investigation jobs on exactly this contract.
@@ -346,16 +350,15 @@ class SystemExplorer {
   };
 
   /// One reachability-graph edge, parent-linked toward the root (null at
-  /// the root). Edges live in append-only arenas (a std::deque per search
-  /// — per *worker* in the parallel search), so addresses are stable,
-  /// nodes are immutable once another node or frontier entry points at
-  /// them, and teardown is a flat bulk free after the workers have joined
-  /// — no refcount traffic on the hot path, no recursive destruction on
-  /// deep chains, and no cross-thread writes for TSan to flag. Cross-
-  /// worker reads of another arena's nodes are published by the frontier-
-  /// deque mutexes (a node is only reachable through a pushed frontier
-  /// entry). The owner may pop its newest, never-published edge (the
-  /// duplicate-target case, exactly like the old meta arena).
+  /// the root). Edges live in append-only arenas (a std::deque per
+  /// worker), so addresses are stable, nodes are immutable once another
+  /// node or frontier entry points at them, and teardown is a flat bulk
+  /// free after every worker has finished — no refcount traffic on the hot
+  /// path, no recursive destruction on deep chains, and no cross-thread
+  /// writes for TSan to flag. Cross-worker reads of another arena's nodes
+  /// are published by the frontier-deque mutexes (a node is only reachable
+  /// through a pushed frontier entry). The owner may pop its newest,
+  /// never-published edge (the duplicate-target case).
   struct PathNode {
     const PathNode* parent;
     SysAction action;
@@ -407,8 +410,8 @@ class SystemExplorer {
     /// Trail mode: actions to re-execute from `state` (0 in snapshot mode).
     std::uint32_t replay_len = 0;
     std::uint32_t depth = 0;
-    /// Parallel searches: index of the worker that pushed this node, so
-    /// frontier-meter refunds pair with the meter that charged it.
+    /// Index of the worker that pushed this node, so frontier-meter
+    /// refunds pair with the meter that charged it.
     std::uint32_t owner = 0;
   };
 
@@ -435,12 +438,9 @@ class SystemExplorer {
   /// The sleep set a child created via run[pos] inherits: surviving
   /// entries of the parent's sleep set plus every earlier branch of this
   /// expansion (run[0..pos)), both filtered by independence with the
-  /// child's action. One implementation shared by the sequential and
-  /// parallel expansion paths, so the independence semantics cannot drift
-  /// between them. Returns null for an empty set.
+  /// child's action. Returns null for an empty set.
   static std::unique_ptr<std::vector<SleepEntry>> child_sleep(
-      const Node& cur, const std::vector<SysAction>& actions,
-      const std::vector<ActionFootprint>& fps,
+      const Node& cur, const std::vector<ActionFootprint>& fps,
       const std::vector<std::uint64_t>& keys,
       const std::vector<std::size_t>& run, std::size_t pos);
 
@@ -491,8 +491,17 @@ class SystemExplorer {
   /// Probe the investigated state itself (the violation might already
   /// hold); returns false when the violation budget is already exhausted.
   bool probe_root(SysExploreResult& res);
+  /// The worker rule the graph search and the random walk share. A lone
+  /// worker runs body(0, *scratch_) inline on the calling thread: no
+  /// thread, no world clone, and `root` is not marked shared. n > 1
+  /// workers each run body(i, world) on their own thread against a
+  /// private clone of `root` (marked shared first), joined before return.
+  /// Bodies must not throw.
+  template <typename Body>
+  void run_workers(std::size_t n, const rt::WorldSnapshot& root, Body&& body);
+  /// kBfs/kDfs/kPriority over `workers` workers (one search core for every
+  /// worker count).
   SysExploreResult graph_search();
-  SysExploreResult graph_search_parallel();
   void worker_loop(Shared& sh, Worker& me);
   void expand(Shared& sh, Worker& me, Node cur);
   /// Parallel checkpoint barrier: a worker parks at the top of its loop

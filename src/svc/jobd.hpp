@@ -103,7 +103,7 @@ CheckpointState load_checkpoint(const std::filesystem::path& dir,
 /// input must be sorted, which SysExploreResult::visited guarantees).
 std::uint64_t visited_digest(const std::vector<std::uint64_t>& visited);
 
-/// Canonical digest of reported violations. For a sequential search the
+/// Canonical digest of reported violations. For a one-worker search the
 /// trail order and contents are deterministic, so the digest covers the
 /// full ordered trails. Parallel searches report a deterministic violation
 /// *multiset* but path-dependent trails/depths, so the digest covers the

@@ -1,21 +1,23 @@
-// Parallel SystemExplorer: differential equivalence against the sequential
-// explorer, trail replay of parallel-found violations, and seeded stress
-// over randomized option mixes.
+// Parallel SystemExplorer: differential equivalence against the one-worker
+// search, trail replay of parallel-found violations, seeded stress over
+// randomized option mixes, and pinned one-worker outputs.
 //
 // The determinism contract under test (see SysExploreOptions::workers):
 // with dedup on, no sleep sets, and budgets that don't truncate, a graph
-// search sharded across N workers visits *exactly* the sequential
-// explorer's canonical-state set, with identical state/transition/
+// search sharded across N workers visits *exactly* the one-worker
+// search's canonical-state set, with identical state/transition/
 // duplicate counts — and every violation it reports carries a trail that
-// re-executes to the same violation on a fresh sequential world.
+// re-executes to the same violation on a fresh world (replay_trail).
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <memory>
 
 #include "apps/kv_store.hpp"
 #include "apps/token_ring.hpp"
 #include "apps/two_phase_commit.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "mc/sysmodel.hpp"
 
@@ -100,7 +102,7 @@ SysExploreOptions differential_opts(SearchOrder order, bool trail,
 }
 
 // ---------------------------------------------------------------------------
-// Differential: parallel == sequential
+// Differential: N workers == one worker
 // ---------------------------------------------------------------------------
 
 class ParallelDifferential
@@ -117,7 +119,7 @@ TEST_P(ParallelDifferential, VisitedSetAndCountsMatchSequential) {
     o.install_invariants = mc.installer;
     if (order == SearchOrder::kPriority) {
       // A deterministic, thread-safe heuristic: the sharded best-effort
-      // heaps may pop in a different order than the sequential heap, but
+      // heaps may pop in a different order than the one-worker heap, but
       // a dedup'd exhaustive search must visit the identical set anyway
       // — exactly what this differential pins.
       o.priority = [](const rt::World& world) {
@@ -243,13 +245,13 @@ TEST(EnabledIndexDifferential, VisitedSetsUnchangedByIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel random walk: sharded walks == sequential walks
+// Parallel random walk: sharded walks == one-worker walks
 // ---------------------------------------------------------------------------
 
 // Each walk draws from an RNG derived from (seed, walk index), so worker
 // count cannot change any trajectory. With an unbounded violation budget
 // every walk runs on both sides: stats and the walk-ordered violation
-// report must match the sequential explorer exactly.
+// report must match the one-worker walk exactly.
 class ParallelRandomWalk : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelRandomWalk, MatchesSequentialWalks) {
@@ -288,7 +290,7 @@ TEST_P(ParallelRandomWalk, MatchesSequentialWalks) {
     EXPECT_EQ(got.violations[i].trail.length(),
               ref.violations[i].trail.length());
   }
-  // Parallel-found trails replay on a fresh sequential world.
+  // Parallel-found trails replay on a fresh world.
   for (std::size_t i = 0; i < std::min<std::size_t>(got.violations.size(), 4);
        ++i) {
     auto reproduced = SystemExplorer::replay_trail(
@@ -337,10 +339,12 @@ TEST(ParallelFrontierMeter, SumOfPeaksReportedAtEveryWorkerCount) {
   SystemExplorer seq(*w, opts);
   auto ref = seq.explore();
   ASSERT_GT(ref.stats.peak_frontier_bytes, 0u);
-  EXPECT_EQ(ref.stats.peak_frontier_bytes_max_worker, 0u);
+  // One worker: the largest worker share is the whole (exact) peak.
+  EXPECT_EQ(ref.stats.peak_frontier_bytes_max_worker,
+            ref.stats.peak_frontier_bytes);
 
   // The merged parallel number bounds *that run's* retained frontier from
-  // above (it is not comparable to the sequential run's peak: workers
+  // above (it is not comparable to the one-worker run's peak: workers
   // drain the frontier while it is produced, so the parallel frontier can
   // genuinely stand lower). What must hold: metering is on (nonzero), the
   // per-worker max is a consistent share of the sum, and a single node's
@@ -361,7 +365,7 @@ TEST(ParallelFrontierMeter, SumOfPeaksReportedAtEveryWorkerCount) {
 }
 
 // ---------------------------------------------------------------------------
-// Violation trails from any worker replay sequentially
+// Violation trails from any worker replay on a fresh world
 // ---------------------------------------------------------------------------
 
 class ParallelReplay : public ::testing::TestWithParam<bool> {};
@@ -475,7 +479,7 @@ TEST(ParallelStress, HundredRandomConfigsNoCrash) {
 }
 
 // With dedup off the state count equals transitions + 1 (a pure tree
-// walk), sequential or parallel — a cheap structural invariant that
+// walk), at one worker or several — a cheap structural invariant that
 // catches double-counted or dropped nodes under concurrency.
 TEST(ParallelStress, TreeSearchCountsConsistent) {
   TokenRingConfig cfg;
@@ -495,6 +499,219 @@ TEST(ParallelStress, TreeSearchCountsConsistent) {
     EXPECT_EQ(res.stats.duplicates, 0u) << "workers=" << workers;
     EXPECT_EQ(res.stats.states, res.stats.transitions + 1)
         << "workers=" << workers;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SingleWorkerGolden: pinned one-worker outputs
+// ---------------------------------------------------------------------------
+
+// Every worker count runs the same search core, so a one-worker run has no
+// second implementation to be compared against. These rows pin its output
+// instead: counters, peak frontier bytes, replay work, a digest of the
+// sorted visited set and an order-sensitive digest of the rendered
+// violations (invariant, trail and depth, in report order). They were
+// recorded from the former sequential explorer before it was deleted, so a
+// one-worker search still reports exactly what it did. The byte figures
+// follow the 64-bit libstdc++ layout of the frontier structures.
+enum class GoldenVariant { kPlain, kPor, kPorSleep, kVisitedBudget,
+                           kFrontierBudget };
+
+struct GoldenRow {
+  int model;
+  SearchOrder order;
+  bool trail;
+  GoldenVariant variant;
+  std::uint64_t states = 0;
+  std::uint64_t transitions = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t max_depth = 0;
+  std::uint64_t peak_frontier_bytes = 0;
+  std::uint64_t replayed_actions = 0;
+  std::uint64_t visited_digest = 0;
+  std::uint64_t violations_digest = 0;
+};
+
+SysExploreOptions golden_opts(const ModelCase& mc, const GoldenRow& row) {
+  auto o = differential_opts(row.order, row.trail, 1);
+  // Replay warming is off: its message ring is keyed from process-wide
+  // snapshot serials, so which messages a trail replay shares — and with
+  // it the trail-mode peak_frontier_bytes — depends on what the process
+  // ran before. Nothing else pinned here depends on warming.
+  o.install_invariants = [installer = mc.installer](rt::World& world) {
+    installer(world);
+    world.set_replay_warm(false);
+  };
+  if (row.order == SearchOrder::kPriority) {
+    o.priority = [](const rt::World& world) {
+      return static_cast<double>(world.network().pending_count());
+    };
+  }
+  switch (row.variant) {
+    case GoldenVariant::kPlain: break;
+    case GoldenVariant::kPor: o.por = true; break;
+    case GoldenVariant::kPorSleep: o.por = o.sleep_sets = true; break;
+    case GoldenVariant::kVisitedBudget: o.visited_budget_bytes = 4096; break;
+    case GoldenVariant::kFrontierBudget: o.frontier_budget_bytes = 8192; break;
+  }
+  return o;
+}
+
+std::uint64_t visited_digest(const SysExploreResult& r) {
+  Hasher h;
+  for (std::uint64_t d : r.visited) h.update_u64(d);
+  return h.digest();
+}
+
+std::uint64_t violations_digest(const SysExploreResult& r) {
+  Hasher h;
+  for (const SysViolation& v : r.violations) {
+    h.update_string(v.render());
+    h.update_u64(v.depth);
+  }
+  return h.digest();
+}
+
+/// Every small model × order × frontier, plus POR, POR+sleep and both
+/// beyond-RAM budgets per model.
+const GoldenRow kGolden[] = {
+    {0, SearchOrder::kBfs, false, GoldenVariant::kPlain,
+     40, 127, 88, 12, 5774, 0, 0x9c1c343e34f7add2ull, 0xd62ca163104063f0ull},
+    {0, SearchOrder::kBfs, true, GoldenVariant::kPlain,
+     40, 127, 88, 12, 4168, 202, 0x9c1c343e34f7add2ull, 0xd62ca163104063f0ull},
+    {0, SearchOrder::kDfs, false, GoldenVariant::kPlain,
+     40, 127, 88, 12, 10110, 0, 0x9c1c343e34f7add2ull, 0xd62ca163104063f0ull},
+    {0, SearchOrder::kDfs, true, GoldenVariant::kPlain,
+     40, 127, 88, 12, 5062, 202, 0x9c1c343e34f7add2ull, 0xd62ca163104063f0ull},
+    {0, SearchOrder::kPriority, false, GoldenVariant::kPlain,
+     40, 127, 88, 12, 9378, 0, 0x9c1c343e34f7add2ull, 0xd62ca163104063f0ull},
+    {0, SearchOrder::kPriority, true, GoldenVariant::kPlain,
+     40, 127, 88, 12, 6309, 202, 0x9c1c343e34f7add2ull, 0xd62ca163104063f0ull},
+    {0, SearchOrder::kBfs, false, GoldenVariant::kPor,
+     17, 26, 10, 12, 2458, 0, 0x3af3197fa680c6cbull, 0xd62ca163104063f0ull},
+    {0, SearchOrder::kDfs, true, GoldenVariant::kPorSleep,
+     17, 26, 10, 12, 2467, 53, 0x3af3197fa680c6cbull, 0xd62ca163104063f0ull},
+    {0, SearchOrder::kDfs, false, GoldenVariant::kVisitedBudget,
+     40, 127, 88, 12, 10110, 0, 0x9c1c343e34f7add2ull, 0xd62ca163104063f0ull},
+    {0, SearchOrder::kBfs, true, GoldenVariant::kFrontierBudget,
+     40, 127, 88, 12, 8701, 202, 0x9c1c343e34f7add2ull, 0xd62ca163104063f0ull},
+    {1, SearchOrder::kBfs, false, GoldenVariant::kPlain,
+     128, 237, 110, 14, 24796, 0, 0xbe4a961a077e7edfull, 0xd62ca163104063f0ull},
+    {1, SearchOrder::kBfs, true, GoldenVariant::kPlain,
+     128, 237, 110, 14, 14440, 484,
+     0xbe4a961a077e7edfull, 0xd62ca163104063f0ull},
+    {1, SearchOrder::kDfs, false, GoldenVariant::kPlain,
+     128, 237, 110, 14, 14060, 0, 0xbe4a961a077e7edfull, 0xd62ca163104063f0ull},
+    {1, SearchOrder::kDfs, true, GoldenVariant::kPlain,
+     128, 237, 110, 14, 5948, 484,
+     0xbe4a961a077e7edfull, 0xd62ca163104063f0ull},
+    {1, SearchOrder::kPriority, false, GoldenVariant::kPlain,
+     128, 237, 110, 14, 21156, 0, 0xbe4a961a077e7edfull, 0xd62ca163104063f0ull},
+    {1, SearchOrder::kPriority, true, GoldenVariant::kPlain,
+     128, 237, 110, 14, 16880, 484,
+     0xbe4a961a077e7edfull, 0xd62ca163104063f0ull},
+    {1, SearchOrder::kBfs, false, GoldenVariant::kPor,
+     44, 48, 5, 14, 6600, 0, 0x1c8db58f55e3e775ull, 0xd62ca163104063f0ull},
+    {1, SearchOrder::kDfs, true, GoldenVariant::kPorSleep,
+     44, 48, 5, 14, 5172, 126, 0x1c8db58f55e3e775ull, 0xd62ca163104063f0ull},
+    {1, SearchOrder::kDfs, false, GoldenVariant::kVisitedBudget,
+     128, 237, 110, 14, 14060, 0, 0xbe4a961a077e7edfull, 0xd62ca163104063f0ull},
+    {1, SearchOrder::kBfs, true, GoldenVariant::kFrontierBudget,
+     128, 237, 110, 14, 10540, 640,
+     0xbe4a961a077e7edfull, 0xd62ca163104063f0ull},
+    {2, SearchOrder::kBfs, false, GoldenVariant::kPlain,
+     128, 237, 110, 14, 24796, 0, 0x6e918678243aeb8full, 0x16f74626cd41bedbull},
+    {2, SearchOrder::kBfs, true, GoldenVariant::kPlain,
+     128, 237, 110, 14, 14440, 484,
+     0x6e918678243aeb8full, 0x16f74626cd41bedbull},
+    {2, SearchOrder::kDfs, false, GoldenVariant::kPlain,
+     128, 237, 110, 14, 14060, 0, 0x6e918678243aeb8full, 0x0d3ab0c2f6bccc4cull},
+    {2, SearchOrder::kDfs, true, GoldenVariant::kPlain,
+     128, 237, 110, 14, 5948, 484,
+     0x6e918678243aeb8full, 0x0d3ab0c2f6bccc4cull},
+    {2, SearchOrder::kPriority, false, GoldenVariant::kPlain,
+     128, 237, 110, 14, 21156, 0, 0x6e918678243aeb8full, 0x48bfe6c6881da7f8ull},
+    {2, SearchOrder::kPriority, true, GoldenVariant::kPlain,
+     128, 237, 110, 14, 16880, 484,
+     0x6e918678243aeb8full, 0x48bfe6c6881da7f8ull},
+    {2, SearchOrder::kBfs, false, GoldenVariant::kPor,
+     44, 48, 5, 14, 6600, 0, 0xb5143709c6e42290ull, 0xe989e3ca759fd423ull},
+    {2, SearchOrder::kDfs, true, GoldenVariant::kPorSleep,
+     44, 48, 5, 14, 5172, 126, 0xb5143709c6e42290ull, 0x01202a854124acd5ull},
+    {2, SearchOrder::kDfs, false, GoldenVariant::kVisitedBudget,
+     128, 237, 110, 14, 14060, 0, 0x6e918678243aeb8full, 0x0d3ab0c2f6bccc4cull},
+    {2, SearchOrder::kBfs, true, GoldenVariant::kFrontierBudget,
+     128, 237, 110, 14, 10540, 640,
+     0x6e918678243aeb8full, 0x16f74626cd41bedbull},
+    {3, SearchOrder::kBfs, false, GoldenVariant::kPlain,
+     8168, 30226, 22059, 26, 1374632, 0,
+     0xe25a13ffc9ed8b73ull, 0xd62ca163104063f0ull},
+    {3, SearchOrder::kBfs, true, GoldenVariant::kPlain,
+     8168, 30226, 22059, 26, 954984, 46589,
+     0xe25a13ffc9ed8b73ull, 0xd62ca163104063f0ull},
+    {3, SearchOrder::kDfs, false, GoldenVariant::kPlain,
+     8168, 30226, 22059, 26, 51816, 0,
+     0xe25a13ffc9ed8b73ull, 0xd62ca163104063f0ull},
+    {3, SearchOrder::kDfs, true, GoldenVariant::kPlain,
+     8168, 30226, 22059, 26, 13968, 46589,
+     0xe25a13ffc9ed8b73ull, 0xd62ca163104063f0ull},
+    {3, SearchOrder::kPriority, false, GoldenVariant::kPlain,
+     8168, 30226, 22059, 26, 571716, 0,
+     0xe25a13ffc9ed8b73ull, 0xd62ca163104063f0ull},
+    {3, SearchOrder::kPriority, true, GoldenVariant::kPlain,
+     8168, 30226, 22059, 26, 462780, 46589,
+     0xe25a13ffc9ed8b73ull, 0xd62ca163104063f0ull},
+    {3, SearchOrder::kBfs, false, GoldenVariant::kPor,
+     261, 449, 189, 26, 40716, 0, 0x4d4b6898fea02b72ull, 0xd62ca163104063f0ull},
+    {3, SearchOrder::kDfs, true, GoldenVariant::kPorSleep,
+     261, 449, 189, 26, 8076, 960,
+     0x4d4b6898fea02b72ull, 0xd62ca163104063f0ull},
+    {3, SearchOrder::kDfs, false, GoldenVariant::kVisitedBudget,
+     8168, 30226, 22059, 26, 51816, 0,
+     0xe25a13ffc9ed8b73ull, 0xd62ca163104063f0ull},
+    {3, SearchOrder::kBfs, true, GoldenVariant::kFrontierBudget,
+     8168, 30226, 22059, 26, 67060, 81461,
+     0xe25a13ffc9ed8b73ull, 0xd62ca163104063f0ull},
+    {4, SearchOrder::kBfs, false, GoldenVariant::kPlain,
+     18, 25, 8, 7, 32833, 0, 0xe1bd6f492795fa5eull, 0x2784a4c5f28abb49ull},
+    {4, SearchOrder::kBfs, true, GoldenVariant::kPlain,
+     18, 25, 8, 7, 27326, 59, 0xe1bd6f492795fa5eull, 0x2784a4c5f28abb49ull},
+    {4, SearchOrder::kDfs, false, GoldenVariant::kPlain,
+     18, 25, 8, 7, 41375, 0, 0xe1bd6f492795fa5eull, 0x1defb16eb2c091d6ull},
+    {4, SearchOrder::kDfs, true, GoldenVariant::kPlain,
+     18, 25, 8, 7, 23150, 59, 0xe1bd6f492795fa5eull, 0x1defb16eb2c091d6ull},
+    {4, SearchOrder::kPriority, false, GoldenVariant::kPlain,
+     18, 25, 8, 7, 37709, 0, 0xe1bd6f492795fa5eull, 0x7fbabae8ad4d7102ull},
+    {4, SearchOrder::kPriority, true, GoldenVariant::kPlain,
+     18, 25, 8, 7, 28613, 59, 0xe1bd6f492795fa5eull, 0x7fbabae8ad4d7102ull},
+    {4, SearchOrder::kBfs, false, GoldenVariant::kPor,
+     9, 9, 1, 7, 13973, 0, 0xe39d895057a55aeeull, 0xd62ca163104063f0ull},
+    {4, SearchOrder::kDfs, true, GoldenVariant::kPorSleep,
+     9, 9, 1, 7, 18256, 24, 0xe39d895057a55aeeull, 0xd62ca163104063f0ull},
+    {4, SearchOrder::kDfs, false, GoldenVariant::kVisitedBudget,
+     18, 25, 8, 7, 41375, 0, 0xe1bd6f492795fa5eull, 0x1defb16eb2c091d6ull},
+    {4, SearchOrder::kBfs, true, GoldenVariant::kFrontierBudget,
+     18, 25, 8, 7, 3632, 59, 0xe1bd6f492795fa5eull, 0x2784a4c5f28abb49ull},
+};
+
+TEST(SingleWorkerGolden, MatchesRecordedOutputs) {
+  const auto models = small_models();
+  for (std::size_t row = 0; row < std::size(kGolden); ++row) {
+    const GoldenRow& want = kGolden[row];
+    const ModelCase& mc = models[want.model];
+    auto w = mc.make();
+    SystemExplorer ex(*w, golden_opts(mc, want));
+    const SysExploreResult r = ex.explore();
+    SCOPED_TRACE("kGolden[" + std::to_string(row) + "] " + mc.name);
+    EXPECT_EQ(r.stats.workers, 1u);
+    EXPECT_EQ(r.stats.states, want.states);
+    EXPECT_EQ(r.stats.transitions, want.transitions);
+    EXPECT_EQ(r.stats.duplicates, want.duplicates);
+    EXPECT_EQ(r.stats.max_depth, want.max_depth);
+    EXPECT_EQ(r.stats.peak_frontier_bytes, want.peak_frontier_bytes);
+    EXPECT_EQ(r.stats.replayed_actions, want.replayed_actions);
+    EXPECT_EQ(visited_digest(r), want.visited_digest);
+    EXPECT_EQ(violations_digest(r), want.violations_digest);
   }
 }
 

@@ -290,7 +290,7 @@ INSTANTIATE_TEST_SUITE_P(Configs, VisitedBudgetDifferential,
 
 // Frontier-budget differential: evicting and replay-recomputing anchors
 // mid-search must be invisible — identical counts and visited set, and for
-// the sequential buggy model, byte-identical rendered violation trails.
+// the one-worker buggy model, byte-identical rendered violation trails.
 class FrontierBudgetDifferential
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
