@@ -144,35 +144,21 @@ int main() {
       rendered_trails(reduced.res) == rendered_trails(reduced2.res) &&
       !reduced.res.violations.empty();
 
-  FILE* f = std::fopen("BENCH_ablation_por.json", "w");
-  if (f) {
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"config\": \"2pc-v1 n=6 bfs exhaustive\",\n"
-        "  \"unreduced_states\": %llu,\n"
-        "  \"unreduced_transitions\": %llu,\n"
-        "  \"reduced_states\": %llu,\n"
-        "  \"reduced_transitions\": %llu,\n"
-        "  \"por_deferred\": %llu,\n"
-        "  \"por_backtracks\": %llu,\n"
-        "  \"sleep_reexpansions\": %llu,\n"
-        "  \"states_reduction\": %.3f,\n"
-        "  \"coverage_equal\": %s,\n"
-        "  \"trails_deterministic\": %s,\n"
-        "  \"unreduced_wall_ms\": %.2f,\n"
-        "  \"reduced_wall_ms\": %.2f\n"
-        "}\n",
-        (unsigned long long)unreduced.res.stats.states,
-        (unsigned long long)unreduced.res.stats.transitions,
-        (unsigned long long)reduced.res.stats.states,
-        (unsigned long long)reduced.res.stats.transitions,
-        (unsigned long long)reduced.res.stats.por_deferred,
-        (unsigned long long)reduced.res.stats.por_backtracks,
-        (unsigned long long)reduced.res.stats.sleep_reexpansions,
-        reduction, coverage_equal ? "true" : "false",
-        deterministic ? "true" : "false", unreduced.ms, reduced.ms);
-    std::fclose(f);
+  bench::JsonWriter j;
+  j.str("config", "2pc-v1 n=6 bfs exhaustive")
+      .u64("unreduced_states", unreduced.res.stats.states)
+      .u64("unreduced_transitions", unreduced.res.stats.transitions)
+      .u64("reduced_states", reduced.res.stats.states)
+      .u64("reduced_transitions", reduced.res.stats.transitions)
+      .u64("por_deferred", reduced.res.stats.por_deferred)
+      .u64("por_backtracks", reduced.res.stats.por_backtracks)
+      .u64("sleep_reexpansions", reduced.res.stats.sleep_reexpansions)
+      .num("states_reduction", reduction, "%.3f")
+      .boolean("coverage_equal", coverage_equal)
+      .boolean("trails_deterministic", deterministic)
+      .num("unreduced_wall_ms", unreduced.ms, "%.2f")
+      .num("reduced_wall_ms", reduced.ms, "%.2f");
+  if (j.write("BENCH_ablation_por.json")) {
     std::printf("\nwrote BENCH_ablation_por.json\n");
   }
 

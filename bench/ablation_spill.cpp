@@ -127,44 +127,27 @@ int main() {
   const bool evicted = frontier.res.stats.anchor_evictions > 0 &&
                        frontier.res.stats.anchor_recomputes > 0;
 
-  FILE* f = std::fopen("BENCH_spill.json", "w");
-  if (f) {
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"smoke\": %s,\n"
-        "  \"n\": %zu,\n"
-        "  \"visited_budget_bytes\": %llu,\n"
-        "  \"frontier_budget_bytes\": %llu,\n"
-        "  \"in_ram_ceiling_states\": %llu,\n"
-        "  \"states\": %llu,\n"
-        "  \"beyond_ram_ratio\": %.3f,\n"
-        "  \"identity_1w\": %s,\n"
-        "  \"identity_4w\": %s,\n"
-        "  \"identity_frontier\": %s,\n"
-        "  \"peak_resident_bytes\": %llu,\n"
-        "  \"visited_spilled_bytes\": %llu,\n"
-        "  \"spill_io_bytes\": %llu,\n"
-        "  \"bloom_fp_rate\": %.5f,\n"
-        "  \"anchor_evictions\": %llu,\n"
-        "  \"anchor_recomputes\": %llu,\n"
-        "  \"unbounded_ms\": %.1f,\n"
-        "  \"budgeted_ms\": %.1f,\n"
-        "  \"frontier_ms\": %.1f\n"
-        "}\n",
-        smoke ? "true" : "false", n, (unsigned long long)visited_budget,
-        (unsigned long long)frontier_budget, (unsigned long long)ceiling,
-        (unsigned long long)unbounded.res.stats.states, ratio,
-        identity_1w ? "true" : "false", identity_4w ? "true" : "false",
-        identity_fr ? "true" : "false", (unsigned long long)peak,
-        (unsigned long long)budgeted.res.stats.visited_spilled_bytes,
-        (unsigned long long)budgeted.res.stats.spilled_bytes, fp,
-        (unsigned long long)frontier.res.stats.anchor_evictions,
-        (unsigned long long)frontier.res.stats.anchor_recomputes,
-        unbounded.ms, budgeted.ms, frontier.ms);
-    std::fclose(f);
-    std::printf("\nwrote BENCH_spill.json\n");
-  }
+  bench::JsonWriter j;
+  j.boolean("smoke", smoke)
+      .u64("n", n)
+      .u64("visited_budget_bytes", visited_budget)
+      .u64("frontier_budget_bytes", frontier_budget)
+      .u64("in_ram_ceiling_states", ceiling)
+      .u64("states", unbounded.res.stats.states)
+      .num("beyond_ram_ratio", ratio, "%.3f")
+      .boolean("identity_1w", identity_1w)
+      .boolean("identity_4w", identity_4w)
+      .boolean("identity_frontier", identity_fr)
+      .u64("peak_resident_bytes", peak)
+      .u64("visited_spilled_bytes", budgeted.res.stats.visited_spilled_bytes)
+      .u64("spill_io_bytes", budgeted.res.stats.spilled_bytes)
+      .num("bloom_fp_rate", fp, "%.5f")
+      .u64("anchor_evictions", frontier.res.stats.anchor_evictions)
+      .u64("anchor_recomputes", frontier.res.stats.anchor_recomputes)
+      .num("unbounded_ms", unbounded.ms, "%.1f")
+      .num("budgeted_ms", budgeted.ms, "%.1f")
+      .num("frontier_ms", frontier.ms, "%.1f");
+  if (j.write("BENCH_spill.json")) std::printf("\nwrote BENCH_spill.json\n");
 
   bool ok = true;
   std::printf("\n");

@@ -361,91 +361,67 @@ int main() {
           ? static_cast<double>(kPr4TrailPeakN6) /
                 static_cast<double>(trail_n6->peak_frontier_bytes)
           : 0.0;
-  FILE* f = std::fopen("BENCH_fig3.json", "w");
-  if (f) {
-    std::fprintf(f, "{\n  \"hw_threads\": %u,\n  \"parallel_2pc_n6\": [\n",
-                 hw);
-    for (std::size_t i = 0; i < prows.size(); ++i) {
-      const auto& r = prows[i];
-      double speedup =
-          base_sps > 0 ? r.stats.states_per_sec() / base_sps : 0.0;
-      std::fprintf(f,
-                   "    {\"workers\": %zu, \"states\": %llu, "
-                   "\"transitions\": %llu, \"wall_ms\": %.2f, "
-                   "\"steals\": %llu, \"states_per_sec\": %.0f, "
-                   "\"speedup\": %.3f}%s\n",
-                   r.workers, (unsigned long long)r.stats.states,
-                   (unsigned long long)r.stats.transitions, r.stats.wall_ms,
-                   (unsigned long long)r.stats.steals,
-                   r.stats.states_per_sec(), speedup,
-                   i + 1 < prows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"speedup_4w\": %.3f,\n  \"frontier\": [\n",
-                 speedup_4w);
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      const auto& fr = frontier[i];
-      std::fprintf(f,
-                   "    {\"n\": %zu, \"mode\": \"%s\", "
-                   "\"peak_frontier_bytes\": %llu, "
-                   "\"visited_resident_bytes\": %llu, "
-                   "\"visited_spilled_bytes\": %llu, "
-                   "\"states_per_sec\": %.0f}%s\n",
-                   fr.n, fr.mode,
-                   (unsigned long long)fr.stats.peak_frontier_bytes,
-                   (unsigned long long)fr.stats.visited_resident_bytes,
-                   (unsigned long long)fr.stats.visited_spilled_bytes,
-                   fr.stats.states_per_sec(),
-                   i + 1 < frontier.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"pr4_trail_peak_n6\": %llu,\n"
-                 "  \"pr4_trail_peak_n4\": %llu,\n"
-                 "  \"pr4_snap_peak_n6\": %llu,\n"
-                 "  \"trail_mem_reduction_n6\": %.3f,\n"
-                 "  \"kpriority_2pc_n5\": [\n",
-                 (unsigned long long)kPr4TrailPeakN6,
-                 (unsigned long long)kPr4TrailPeakN4,
-                 (unsigned long long)kPr4SnapPeakN6, trail_mem_reduction);
-    for (std::size_t i = 0; i < krows.size(); ++i) {
-      const auto& r = krows[i];
-      std::fprintf(f,
-                   "    {\"workers\": %zu, \"states\": %llu, "
-                   "\"steals\": %llu, \"states_per_sec\": %.0f}%s\n",
-                   r.workers, (unsigned long long)r.stats.states,
-                   (unsigned long long)r.stats.steals,
-                   r.stats.states_per_sec(), i + 1 < krows.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"spill_2pc_n6\": {\"visited_budget_bytes\": %llu, "
-                 "\"frontier_budget_bytes\": %llu, "
-                 "\"states_unbounded\": %llu, \"states_budgeted\": %llu, "
-                 "\"visited_resident_bytes\": %llu, "
-                 "\"visited_spilled_bytes\": %llu, \"spilled_bytes\": %llu, "
-                 "\"bloom_fp_rate\": %.5f, \"anchor_evictions\": %llu, "
-                 "\"anchor_recomputes\": %llu, \"identity\": %s},\n",
-                 (unsigned long long)kSpillVisitedBudget,
-                 (unsigned long long)kSpillFrontierBudget,
-                 (unsigned long long)spill_stats[0].states,
-                 (unsigned long long)spill_stats[1].states,
-                 (unsigned long long)spill_stats[1].visited_resident_bytes,
-                 (unsigned long long)spill_stats[1].visited_spilled_bytes,
-                 (unsigned long long)spill_stats[1].spilled_bytes,
-                 spill_stats[1].bloom_fp_rate,
-                 (unsigned long long)spill_stats[1].anchor_evictions,
-                 (unsigned long long)spill_stats[1].anchor_recomputes,
-                 spill_identity ? "true" : "false");
-    std::fprintf(f,
-                 "  \"por_2pc_n6\": {\"unreduced_states\": %llu, "
-                 "\"reduced_states\": %llu, \"states_reduction\": %.3f, "
-                 "\"coverage_equal\": %s}\n}\n",
-                 (unsigned long long)por_runs[0].stats.states,
-                 (unsigned long long)por_runs[1].stats.states, por_reduction,
-                 por_coverage_equal ? "true" : "false");
-    std::fclose(f);
-    std::printf("\nwrote BENCH_fig3.json\n");
+  bench::JsonWriter j;
+  j.u64("hw_threads", hw).array("parallel_2pc_n6");
+  for (const auto& r : prows) {
+    double speedup =
+        base_sps > 0 ? r.stats.states_per_sec() / base_sps : 0.0;
+    j.object()
+        .u64("workers", r.workers)
+        .u64("states", r.stats.states)
+        .u64("transitions", r.stats.transitions)
+        .num("wall_ms", r.stats.wall_ms, "%.2f")
+        .u64("steals", r.stats.steals)
+        .num("states_per_sec", r.stats.states_per_sec(), "%.0f")
+        .num("speedup", speedup, "%.3f")
+        .end();
   }
+  j.end().num("speedup_4w", speedup_4w, "%.3f").array("frontier");
+  for (const auto& fr : frontier) {
+    j.object()
+        .u64("n", fr.n)
+        .str("mode", fr.mode)
+        .u64("peak_frontier_bytes", fr.stats.peak_frontier_bytes)
+        .u64("visited_resident_bytes", fr.stats.visited_resident_bytes)
+        .u64("visited_spilled_bytes", fr.stats.visited_spilled_bytes)
+        .num("states_per_sec", fr.stats.states_per_sec(), "%.0f")
+        .end();
+  }
+  j.end()
+      .u64("pr4_trail_peak_n6", kPr4TrailPeakN6)
+      .u64("pr4_trail_peak_n4", kPr4TrailPeakN4)
+      .u64("pr4_snap_peak_n6", kPr4SnapPeakN6)
+      .num("trail_mem_reduction_n6", trail_mem_reduction, "%.3f")
+      .array("kpriority_2pc_n5");
+  for (const auto& r : krows) {
+    j.object()
+        .u64("workers", r.workers)
+        .u64("states", r.stats.states)
+        .u64("steals", r.stats.steals)
+        .num("states_per_sec", r.stats.states_per_sec(), "%.0f")
+        .end();
+  }
+  j.end()
+      .object("spill_2pc_n6")
+      .u64("visited_budget_bytes", kSpillVisitedBudget)
+      .u64("frontier_budget_bytes", kSpillFrontierBudget)
+      .u64("states_unbounded", spill_stats[0].states)
+      .u64("states_budgeted", spill_stats[1].states)
+      .u64("visited_resident_bytes", spill_stats[1].visited_resident_bytes)
+      .u64("visited_spilled_bytes", spill_stats[1].visited_spilled_bytes)
+      .u64("spilled_bytes", spill_stats[1].spilled_bytes)
+      .num("bloom_fp_rate", spill_stats[1].bloom_fp_rate, "%.5f")
+      .u64("anchor_evictions", spill_stats[1].anchor_evictions)
+      .u64("anchor_recomputes", spill_stats[1].anchor_recomputes)
+      .boolean("identity", spill_identity)
+      .end()
+      .object("por_2pc_n6")
+      .u64("unreduced_states", por_runs[0].stats.states)
+      .u64("reduced_states", por_runs[1].stats.states)
+      .num("states_reduction", por_reduction, "%.3f")
+      .boolean("coverage_equal", por_coverage_equal)
+      .end();
+  if (j.write("BENCH_fig3.json")) std::printf("\nwrote BENCH_fig3.json\n");
 
   std::printf(
       "\nShape check (paper): exhaustive exploration finds the scheduling\n"

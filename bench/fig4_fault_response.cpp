@@ -265,34 +265,31 @@ int main() {
   // Machine-readable record (BENCH_fault.json, archived by the scheduled
   // perf workflow): detection latency, phase breakdown, recovery outcome,
   // and tuner convergence cost per scenario.
-  FILE* f = std::fopen("BENCH_fault.json", "w");
-  if (f) {
-    std::fprintf(f, "{\n  \"cases\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(
-          f,
-          "    {\"app\": \"%s\", \"completed\": %s, \"faults\": %zu, "
-          "\"detect_step\": %llu, \"run_ms\": %.2f, \"rollback_ms\": %.2f, "
-          "\"collect_ms\": %.2f, \"investigate_ms\": %.2f, "
-          "\"heal_ms\": %.2f, \"ctl_msgs\": %llu, \"ctl_bytes\": %llu, "
-          "\"heals\": %zu, \"timeout_heals\": %zu, \"restarts\": %zu, "
-          "\"line_heals\": %zu, \"tuner_probes\": %zu, "
-          "\"tuner_states\": %llu, \"healed_value\": %llu}%s\n",
-          r.name, r.completed ? "true" : "false", r.faults,
-          (unsigned long long)r.detect_step, r.phases.run_ms,
-          r.phases.rollback_ms, r.phases.collect_ms,
-          r.phases.investigate_ms, r.phases.heal_ms,
-          (unsigned long long)r.ctl_msgs, (unsigned long long)r.ctl_bytes,
-          r.heals, r.timeout_heals, r.restarts, r.line_heals,
-          r.tuner_probes, (unsigned long long)r.tuner_states,
-          (unsigned long long)r.healed_value,
-          i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote BENCH_fault.json\n");
+  bench::JsonWriter j;
+  j.array("cases");
+  for (const Row& r : rows) {
+    j.object()
+        .str("app", r.name)
+        .boolean("completed", r.completed)
+        .u64("faults", r.faults)
+        .u64("detect_step", r.detect_step)
+        .num("run_ms", r.phases.run_ms, "%.2f")
+        .num("rollback_ms", r.phases.rollback_ms, "%.2f")
+        .num("collect_ms", r.phases.collect_ms, "%.2f")
+        .num("investigate_ms", r.phases.investigate_ms, "%.2f")
+        .num("heal_ms", r.phases.heal_ms, "%.2f")
+        .u64("ctl_msgs", r.ctl_msgs)
+        .u64("ctl_bytes", r.ctl_bytes)
+        .u64("heals", r.heals)
+        .u64("timeout_heals", r.timeout_heals)
+        .u64("restarts", r.restarts)
+        .u64("line_heals", r.line_heals)
+        .u64("tuner_probes", r.tuner_probes)
+        .u64("tuner_states", r.tuner_states)
+        .u64("healed_value", r.healed_value)
+        .end();
   }
+  if (j.write("BENCH_fault.json")) std::printf("\nwrote BENCH_fault.json\n");
 
   std::printf(
       "\nShape check (paper): detection is cheap; collection cost scales\n"

@@ -235,42 +235,36 @@ int main() {
   // and depth, plus tuner iterations-to-converge per timeout scenario.
   std::size_t heal_ok = 0;
   for (const auto& s : srows) heal_ok += s.o.ok ? 1 : 0;
-  FILE* f = std::fopen("BENCH_heal.json", "w");
-  if (f) {
-    std::fprintf(f, "{\n  \"strategies\": [\n");
-    for (std::size_t i = 0; i < srows.size(); ++i) {
-      const auto& s = srows[i];
-      std::fprintf(f,
-                   "    {\"fault_frac\": %llu, \"strategy\": \"%s\", "
-                   "\"ok\": %s, \"work_at_fault\": %llu, "
-                   "\"work_retained\": %llu, \"total_steps\": %llu, "
-                   "\"ms\": %.2f}%s\n",
-                   (unsigned long long)s.frac,
-                   s.rollback ? "rollback+update" : "restart",
-                   s.o.ok ? "true" : "false",
-                   (unsigned long long)s.o.work_at_fault,
-                   (unsigned long long)s.o.work_retained,
-                   (unsigned long long)s.o.total_steps, s.o.ms,
-                   i + 1 < srows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"heal_success_rate\": %.3f,\n  \"tuner\": [\n",
-                 srows.empty() ? 0.0
-                               : (double)heal_ok / (double)srows.size());
-    for (std::size_t i = 0; i < trows.size(); ++i) {
-      const TunerRow& r = trows[i];
-      std::fprintf(f,
-                   "    {\"scenario\": \"%s\", \"ok\": %s, \"from\": %llu, "
-                   "\"healed_value\": %llu, \"probes\": %zu, "
-                   "\"states\": %llu, \"ms\": %.2f}%s\n",
-                   r.scenario, r.ok ? "true" : "false",
-                   (unsigned long long)r.from, (unsigned long long)r.healed,
-                   r.probes, (unsigned long long)r.states, r.ms,
-                   i + 1 < trows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote BENCH_heal.json\n");
+  bench::JsonWriter j;
+  j.array("strategies");
+  for (const auto& s : srows) {
+    j.object()
+        .u64("fault_frac", s.frac)
+        .str("strategy", s.rollback ? "rollback+update" : "restart")
+        .boolean("ok", s.o.ok)
+        .u64("work_at_fault", s.o.work_at_fault)
+        .u64("work_retained", s.o.work_retained)
+        .u64("total_steps", s.o.total_steps)
+        .num("ms", s.o.ms, "%.2f")
+        .end();
   }
+  j.end()
+      .num("heal_success_rate",
+           srows.empty() ? 0.0 : (double)heal_ok / (double)srows.size(),
+           "%.3f")
+      .array("tuner");
+  for (const TunerRow& r : trows) {
+    j.object()
+        .str("scenario", r.scenario)
+        .boolean("ok", r.ok)
+        .u64("from", r.from)
+        .u64("healed_value", r.healed)
+        .u64("probes", r.probes)
+        .u64("states", r.states)
+        .num("ms", r.ms, "%.2f")
+        .end();
+  }
+  if (j.write("BENCH_heal.json")) std::printf("\nwrote BENCH_heal.json\n");
 
   std::printf(
       "\nShape check (paper): rollback+update retains nearly all work done\n"

@@ -457,69 +457,49 @@ int main() {
           : 0.0;
 
   // Machine-readable trajectory record.
-  FILE* f = std::fopen("BENCH_digest.json", "w");
-  if (f) {
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"heap_1mib_cached_us\": %.3f,\n"
-        "  \"heap_1mib_uncached_us\": %.3f,\n"
-        "  \"heap_1mib_speedup\": %.2f,\n"
-        "  \"heap_4mib_cached_us\": %.3f,\n"
-        "  \"heap_4mib_uncached_us\": %.3f,\n"
-        "  \"heap_4mib_speedup\": %.2f,\n"
-        "  \"world16_cached_us\": %.3f,\n"
-        "  \"world16_uncached_us\": %.3f,\n"
-        "  \"world16_speedup\": %.2f,\n"
-        "  \"world16_snap_shared_us\": %.3f,\n"
-        "  \"world16_snap_deep_us\": %.3f,\n"
-        "  \"world16_snap_speedup\": %.2f,\n"
-        "  \"explorer_states\": %llu,\n"
-        "  \"explorer_wall_ms\": %.2f,\n"
-        "  \"explorer_digest_ms\": %.2f,\n"
-        "  \"explorer_snapshot_ms\": %.2f,\n"
-        "  \"explorer_peak_frontier_bytes\": %llu,\n"
-        "  \"explorer_states_per_sec\": %.0f,\n"
-        "  \"explorer_visited_resident_bytes\": %llu,\n"
-        "  \"explorer_visited_spilled_bytes\": %llu,\n"
-        "  \"explorer_trail_wall_ms\": %.2f,\n"
-        "  \"explorer_trail_peak_frontier_bytes\": %llu,\n"
-        "  \"explorer_trail_states_per_sec\": %.0f,\n"
-        "  \"reanchor_cold_peak_frontier_bytes\": %llu,\n"
-        "  \"reanchor_warm_peak_frontier_bytes\": %llu,\n"
-        "  \"reanchor_mem_ratio\": %.3f,\n"
-        "  \"reanchor_cold_snapshot_ms\": %.2f,\n"
-        "  \"reanchor_warm_snapshot_ms\": %.2f,\n"
-        "  \"reanchor_snapshot_ratio\": %.3f,\n"
-        "  \"enabled16_timed_index_us\": %.3f,\n"
-        "  \"enabled16_timed_uncached_us\": %.3f,\n"
-        "  \"enabled16_timed_speedup\": %.2f,\n"
-        "  \"enabled64_timed_index_us\": %.3f,\n"
-        "  \"enabled64_timed_uncached_us\": %.3f,\n"
-        "  \"enabled64_timed_speedup\": %.2f,\n"
-        "  \"enabled16_abstract_index_us\": %.3f,\n"
-        "  \"enabled16_abstract_uncached_us\": %.3f,\n"
-        "  \"enabled16_abstract_speedup\": %.2f\n"
-        "}\n",
-        heap_small.cached_us, heap_small.uncached_us, heap_small.speedup(),
-        heap_big.cached_us, heap_big.uncached_us, heap_big.speedup(),
-        world16.cached_us, world16.uncached_us, world16.speedup(),
-        snap16.cached_us, snap16.uncached_us, snap16.speedup(),
-        (unsigned long long)ex.stats.states, ex.stats.wall_ms,
-        ex.stats.digest_ms, ex.stats.snapshot_ms,
-        (unsigned long long)ex.stats.peak_frontier_bytes,
-        ex.stats.states_per_sec(),
-        (unsigned long long)ex.stats.visited_resident_bytes,
-        (unsigned long long)ex.stats.visited_spilled_bytes, ext.stats.wall_ms,
-        (unsigned long long)ext.stats.peak_frontier_bytes,
-        ext.stats.states_per_sec(),
-        (unsigned long long)rc.stats.peak_frontier_bytes,
-        (unsigned long long)rw.stats.peak_frontier_bytes,
-        reanchor_mem_ratio, rc.stats.snapshot_ms, rw.stats.snapshot_ms,
-        reanchor_snap_ratio, en16.cached_us, en16.uncached_us,
-        en16.speedup(), en64.cached_us, en64.uncached_us, en64.speedup(),
-        en16a.cached_us, en16a.uncached_us, en16a.speedup());
-    std::fclose(f);
+  bench::JsonWriter j;
+  j.num("heap_1mib_cached_us", heap_small.cached_us, "%.3f")
+      .num("heap_1mib_uncached_us", heap_small.uncached_us, "%.3f")
+      .num("heap_1mib_speedup", heap_small.speedup(), "%.2f")
+      .num("heap_4mib_cached_us", heap_big.cached_us, "%.3f")
+      .num("heap_4mib_uncached_us", heap_big.uncached_us, "%.3f")
+      .num("heap_4mib_speedup", heap_big.speedup(), "%.2f")
+      .num("world16_cached_us", world16.cached_us, "%.3f")
+      .num("world16_uncached_us", world16.uncached_us, "%.3f")
+      .num("world16_speedup", world16.speedup(), "%.2f")
+      .num("world16_snap_shared_us", snap16.cached_us, "%.3f")
+      .num("world16_snap_deep_us", snap16.uncached_us, "%.3f")
+      .num("world16_snap_speedup", snap16.speedup(), "%.2f")
+      .u64("explorer_states", ex.stats.states)
+      .num("explorer_wall_ms", ex.stats.wall_ms, "%.2f")
+      .num("explorer_digest_ms", ex.stats.digest_ms, "%.2f")
+      .num("explorer_snapshot_ms", ex.stats.snapshot_ms, "%.2f")
+      .u64("explorer_peak_frontier_bytes", ex.stats.peak_frontier_bytes)
+      .num("explorer_states_per_sec", ex.stats.states_per_sec(), "%.0f")
+      .u64("explorer_visited_resident_bytes",
+           ex.stats.visited_resident_bytes)
+      .u64("explorer_visited_spilled_bytes", ex.stats.visited_spilled_bytes)
+      .num("explorer_trail_wall_ms", ext.stats.wall_ms, "%.2f")
+      .u64("explorer_trail_peak_frontier_bytes",
+           ext.stats.peak_frontier_bytes)
+      .num("explorer_trail_states_per_sec", ext.stats.states_per_sec(),
+           "%.0f")
+      .u64("reanchor_cold_peak_frontier_bytes", rc.stats.peak_frontier_bytes)
+      .u64("reanchor_warm_peak_frontier_bytes", rw.stats.peak_frontier_bytes)
+      .num("reanchor_mem_ratio", reanchor_mem_ratio, "%.3f")
+      .num("reanchor_cold_snapshot_ms", rc.stats.snapshot_ms, "%.2f")
+      .num("reanchor_warm_snapshot_ms", rw.stats.snapshot_ms, "%.2f")
+      .num("reanchor_snapshot_ratio", reanchor_snap_ratio, "%.3f")
+      .num("enabled16_timed_index_us", en16.cached_us, "%.3f")
+      .num("enabled16_timed_uncached_us", en16.uncached_us, "%.3f")
+      .num("enabled16_timed_speedup", en16.speedup(), "%.2f")
+      .num("enabled64_timed_index_us", en64.cached_us, "%.3f")
+      .num("enabled64_timed_uncached_us", en64.uncached_us, "%.3f")
+      .num("enabled64_timed_speedup", en64.speedup(), "%.2f")
+      .num("enabled16_abstract_index_us", en16a.cached_us, "%.3f")
+      .num("enabled16_abstract_uncached_us", en16a.uncached_us, "%.3f")
+      .num("enabled16_abstract_speedup", en16a.speedup(), "%.2f");
+  if (j.write("BENCH_digest.json")) {
     std::printf("\nwrote BENCH_digest.json\n");
   }
 

@@ -357,8 +357,7 @@ bool FixdController::recover_via_line(const BugReport& bug,
   // first, then healed through the model wrappers so the replay key chain
   // advances instead of breaking. The injector that cut these links stays
   // in its fired state and will not re-cut.
-  std::vector<net::SimNetwork::LinkKey> cuts(net.blocked_links().begin(),
-                                             net.blocked_links().end());
+  const std::vector<net::SimNetwork::LinkKey> cuts = net.blocked_links();
   for (const auto& [src, dst] : cuts) world_.model_heal_link(src, dst);
   world_.clear_violations();
 

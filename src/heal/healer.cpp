@@ -5,18 +5,14 @@ namespace fixd::heal {
 std::optional<std::string> Healer::check_update_point(
     ProcessId pid, const ckpt::SpeculationManager* specs) const {
   if (opts_.require_quiescent_inbound) {
-    // O(1): the network maintains per-destination in-flight counters for
-    // non-control traffic (SimNetwork::inflight_to), so the common all-clear
-    // answer never rescans pending(). The scan only runs on refusal, to
-    // name a concrete offending message in the error.
-    if (world_.network().inflight_to(pid) != 0) {
-      for (const net::Message* m : world_.network().pending()) {
-        if (m->dst == pid && !m->control) {
-          return "inbound message in flight (msg#" + std::to_string(m->id) +
-                 " from p" + std::to_string(m->src) + ")";
-        }
+    // One pass over the pending set: any non-control message bound for
+    // `pid` (deliverable, queued behind a channel head, or held behind a
+    // blocked link) refuses the update point and is named in the error.
+    for (const net::Message* m : world_.network().pending()) {
+      if (m->dst == pid && !m->control) {
+        return "inbound message in flight (msg#" + std::to_string(m->id) +
+               " from p" + std::to_string(m->src) + ")";
       }
-      FIXD_CHECK_MSG(false, "inflight counter disagrees with pending set");
     }
   }
   if (opts_.require_no_speculation && specs != nullptr) {

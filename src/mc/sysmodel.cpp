@@ -582,7 +582,7 @@ std::vector<SysAction> SystemExplorer::enabled_actions(
     }
   }
   if (opts_.model_partition) {
-    // Heal actions: every blocked link (the mask is a sorted set, so the
+    // Heal actions: every blocked link (the mask is a sorted vector, so the
     // canonical order is free). Cut actions: every distinct unblocked link
     // with pending traffic, gated by the simultaneous-cut bound — cutting
     // an idle link is a no-op until traffic appears, and enumerating only

@@ -20,12 +20,10 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -88,28 +86,13 @@ struct DeliverableEntry {
 
 /// Per-destination bucket of currently deliverable messages. Stored flat:
 /// `by_id` is a vector sorted by ascending id (the canonical
-/// materialization order), so copying a bucket into/out of a snapshot is
-/// one allocation plus a memcpy — this sits on the explorer's
-/// restore-per-transition hot path. The ready-time ordering that
-/// timed-mode time-warp selection iterates is derived lazily (`at_view`),
-/// so abstract-time exploration never pays for maintaining it.
+/// materialization order), so a rebuild refills it in place. The
+/// ready-time ordering that timed-mode time-warp selection iterates is
+/// derived lazily (`at_view`), so abstract-time exploration never pays for
+/// maintaining it.
 struct DeliverableBucket {
   /// (id, entry), ascending by id.
   std::vector<std::pair<MsgId, DeliverableEntry>> by_id;
-
-  // Copies travel through snapshots; they drop the derived at view (the
-  // receiver rebuilds it lazily if it ever runs timed) so the hot-path
-  // copy is the one flat by_id buffer. Moves keep it.
-  DeliverableBucket() = default;
-  DeliverableBucket(const DeliverableBucket& o) : by_id(o.by_id) {}
-  DeliverableBucket& operator=(const DeliverableBucket& o) {
-    by_id = o.by_id;
-    by_at_.clear();
-    at_valid_ = false;
-    return *this;
-  }
-  DeliverableBucket(DeliverableBucket&&) = default;
-  DeliverableBucket& operator=(DeliverableBucket&&) = default;
 
   std::size_t size() const { return by_id.size(); }
   bool empty() const { return by_id.empty(); }
@@ -192,12 +175,11 @@ class DeliverableListener {
   virtual void on_deliverable_remove(ProcessId dst, MsgId id) = 0;
 };
 
-/// An immutable capture of in-flight network state. Per-message buffers
-/// are *shared* with the live network (pending messages are immutable:
-/// SimNetwork::mutate replaces a message, it never edits one in place), so
-/// taking a snapshot is O(pending) pointer copies — no re-serialization.
-/// Carries the channel digest caches warm at capture time, so restoring a
-/// snapshot re-warms the network's digest pipeline instead of chilling it.
+/// The in-flight network state as flat key-sorted vectors. SimNetwork holds
+/// one by value; snapshot() copies it into a shared immutable object and
+/// restore() copy-assigns it back. Message buffers are shared, never edited
+/// in place (SimNetwork::mutate replaces a message), so a copy is
+/// O(pending) pointer copies, and the digest caches travel with the state.
 struct NetSnapshot {
   using ChannelKey = std::pair<ProcessId, ProcessId>;
 
@@ -206,24 +188,19 @@ struct NetSnapshot {
   MsgId next_id = 1;
   /// Blocked (src,dst) links (the partition mask), ascending key.
   std::vector<ChannelKey> blocked_links;
-  /// Pending messages, ascending id. Flat sorted vectors instead of maps:
-  /// a trail-frontier explorer retains one NetSnapshot per live anchor,
-  /// and the map/deque representation cost ~48 B of node overhead per
-  /// entry (plus ~600 B of deque blocks per channel) that a flat copy of
-  /// the same data doesn't — capture iterates the live maps in order, so
-  /// building the vectors is one pass, and restore rebuilds the maps with
-  /// an end hint at the same O(entries) cost as the old wholesale map
-  /// copy.
+  /// Pending messages, ascending id.
   std::vector<std::pair<MsgId, std::shared_ptr<const Message>>> messages;
-  /// Channel queues in FIFO order, ascending channel key.
+  /// Channel queues in FIFO order, ascending channel key. A channel keeps
+  /// its (possibly empty) entry once it has carried traffic.
   std::vector<std::pair<ChannelKey, std::vector<MsgId>>> channels;
   NetStats stats;
-  /// Digest caches valid for this snapshot's content (adopted on
-  /// restore), ascending channel key.
+  /// Per-channel digest cache, ascending channel key; presence of a key
+  /// means the digest is valid for the channel's current queue.
   std::vector<std::pair<ChannelKey, std::uint64_t>> channel_digests;
+  /// Whole-network digest memo.
   std::optional<std::uint64_t> digest_memo;
   /// Order-independent accumulator over pending message content digests
-  /// (see SimNetwork::content_digest_acc), adopted on restore.
+  /// (see SimNetwork::content_digest_acc).
   std::uint64_t content_acc = 0;
 
   /// Approximate retained size (payload bytes plus per-message overhead);
@@ -247,7 +224,7 @@ class SimNetwork {
 
   explicit SimNetwork(NetworkOptions options = {});
 
-  const NetworkOptions& options() const { return options_; }
+  const NetworkOptions& options() const { return st_.options; }
 
   /// Submit a message; assigns Message::id. Loss policy may drop or
   /// duplicate it (duplicates get fresh ids). Returns the assigned id, or
@@ -309,7 +286,7 @@ class SimNetwork {
   /// All in-flight messages (deliverable or queued behind channel heads).
   std::vector<const Message*> pending() const;
 
-  std::size_t pending_count() const { return messages_.size(); }
+  std::size_t pending_count() const { return st_.messages.size(); }
 
   /// Apply an extra delivery delay to a pending message (timeout-fault
   /// injection / the kDelayMessage model action): clones the immutable
@@ -330,27 +307,21 @@ class SimNetwork {
   /// Heal every blocked link; returns how many were blocked.
   std::size_t heal_all_links();
   bool link_blocked(ProcessId src, ProcessId dst) const {
-    return blocked_.count({src, dst}) != 0;
+    return std::binary_search(st_.blocked_links.begin(),
+                              st_.blocked_links.end(), LinkKey{src, dst});
   }
-  std::size_t blocked_link_count() const { return blocked_.size(); }
-  const std::set<LinkKey>& blocked_links() const { return blocked_; }
+  std::size_t blocked_link_count() const { return st_.blocked_links.size(); }
+  /// The mask, ascending (src,dst).
+  const std::vector<LinkKey>& blocked_links() const {
+    return st_.blocked_links;
+  }
   /// Order-sensitive digest of the mask (folded into the world's canonical
   /// digest so partitioned states never dedup against unpartitioned ones).
   std::uint64_t links_digest() const;
 
-  /// In-flight non-control messages destined to `dst`, maintained
-  /// incrementally. Unlike deliv_bucket_size this also counts messages
-  /// queued behind FIFO channel heads — which is exactly the quiescence
-  /// question the Healer's update-point check asks. Bit-identical to
-  /// inflight_to_uncached() by contract.
-  std::uint64_t inflight_to(ProcessId dst) const {
-    auto it = inflight_.find(dst);
-    return it == inflight_.end() ? 0 : it->second;
-  }
-
-  /// From-scratch recount over the pending map; verification oracle for
-  /// tests, mirroring the digest/digest_uncached split.
-  std::uint64_t inflight_to_uncached(ProcessId dst) const;
+  /// Pending non-control messages destined to `dst`, including those queued
+  /// behind FIFO channel heads or blocked links (unlike deliv_bucket_size).
+  std::uint64_t inflight_to(ProcessId dst) const;
 
   const Message* peek(MsgId id) const;
 
@@ -380,19 +351,19 @@ class SimNetwork {
   /// false if the message is gone.
   bool mutate(MsgId id, const std::function<void(Message&)>& fn);
 
-  const NetStats& stats() const { return stats_; }
+  const NetStats& stats() const { return st_.stats; }
 
   void save(BinaryWriter& w) const;
   void load(BinaryReader& r);
 
-  /// O(pending) pointer-sharing capture of the in-flight state. Repeated
-  /// calls with no intervening mutation return the same shared snapshot.
+  /// O(pending) capture: one copy of the state value. Repeated calls with
+  /// no intervening mutation return the same shared snapshot.
   std::shared_ptr<const NetSnapshot> snapshot() const;
 
-  /// Restore to a snapshot's exact state. A restore to the snapshot that
-  /// already describes the current state is a no-op (pointer equality via
-  /// the snapshot cache), which is what makes the explorer's
-  /// restore-then-apply loop O(changed state).
+  /// Copy-assign a snapshot's state, reusing vector capacity. Restoring
+  /// the snapshot that already describes the current state is a no-op
+  /// (pointer equality via the snapshot cache), which is what makes the
+  /// explorer's restore-then-apply loop O(changed state).
   void restore(const std::shared_ptr<const NetSnapshot>& snap);
 
   /// Digest of in-flight state (part of the world digest). Incremental:
@@ -412,7 +383,7 @@ class SimNetwork {
   /// what World::mc_digest folds for the network share of the canonical
   /// state — O(1) per call instead of re-sorting per-message digests.
   /// Bit-identical to content_digest_acc_uncached() by contract.
-  std::uint64_t content_digest_acc() const { return content_acc_; }
+  std::uint64_t content_digest_acc() const { return st_.content_acc; }
 
   /// From-scratch recompute bypassing the accumulator and the per-message
   /// memos. Verification oracle for tests.
@@ -421,14 +392,15 @@ class SimNetwork {
   // --- replay-warmed message objects (driven by rt::World) -----------------
   /// While a deterministically keyed event executes (rt::World::dispatch
   /// brackets it with begin/end), every message enqueued is keyed by
-  /// (event key, enqueue ordinal) against a small direct-mapped ring: a
-  /// re-execution of the same prefix re-derives the same key and — after a
-  /// full field-equality check, so reuse is bit-exact by construction, not
-  /// by hash — shares the previously allocated immutable Message object
+  /// (event key, enqueue ordinal) against a bounded ring: a re-execution
+  /// of the same prefix re-derives the same key and — after a full
+  /// field-equality check, so reuse is bit-exact by construction, not by
+  /// hash — shares the previously allocated immutable Message object
   /// instead of duplicating it. Sibling trail-frontier anchors then hold
   /// the same message pointers for replay-created traffic, which is where
-  /// most of a trail frontier's memory went. Bounded retention:
-  /// kWarmRingSlots shared messages, overwritten direct-mapped.
+  /// most of a trail frontier's memory went. Bounded retention: the last
+  /// kWarmRingSlots keys, matched exactly and evicted first-in first-out,
+  /// so sharing never depends on the keys' process-wide bit patterns.
   void begin_warm_step(std::uint64_t key) {
     warm_step_key_ = warm_on_ ? key : 0;
     warm_ordinal_ = 0;
@@ -443,25 +415,29 @@ class SimNetwork {
   using ChannelKey = std::pair<ProcessId, ProcessId>;
 
   bool is_deliverable(MsgId id) const;
+  /// The pending message `id`; throws if it is not pending.
+  const Message& msg_at(MsgId id) const;
+  /// The queue of channel `key`, inserted empty in key order if absent.
+  std::vector<MsgId>& channel_queue(const ChannelKey& key);
   void enqueue(Message msg);
   VirtualTime draw_latency();
   /// Share from the warm ring when an identical message was created under
   /// the same replay key before; else allocate and publish. See
   /// begin_warm_step.
   std::shared_ptr<const Message> warm_or_make(Message&& msg);
+  /// Warm-index slot holding `key`, else the empty slot ending its probe.
+  std::size_t warm_probe(std::uint64_t key) const;
+  /// Empty index slot `i` by backward-shift deletion (no tombstones).
+  void warm_unindex(std::size_t i);
 
   /// Deliverable-index deltas (publish to the listener); no-ops while the
   /// index is invalidated. idx_add_head re-adds the new head of a FIFO
   /// channel after its old head left.
   void idx_add(ProcessId dst, MsgId id, const DeliverableEntry& e);
   void idx_remove(ProcessId dst, MsgId id);
-  void idx_add_head(const std::deque<MsgId>& q);
+  void idx_add_head(const std::vector<MsgId>& q);
   /// Drop the index (wholesale state replacement; rebuilt lazily).
   void idx_invalidate();
-
-  /// Maintain the per-destination in-flight counters (non-control only).
-  void inflight_add(const Message& m);
-  void inflight_sub(const Message& m);
 
   /// Any state changed (stats/RNG included): drop the whole-network memo
   /// and the snapshot cache.
@@ -471,39 +447,26 @@ class SimNetwork {
   void touch_channel(const ChannelKey& key);
 
   std::uint64_t digest_impl(bool cached) const;
-  std::uint64_t channel_digest(const std::deque<MsgId>& q, bool cached) const;
+  std::uint64_t channel_digest(const std::vector<MsgId>& q,
+                               bool cached) const;
 
-  NetworkOptions options_;
-  Rng rng_;
-  MsgId next_id_ = 1;
-  /// Pending messages, immutable and shareable with snapshots.
-  std::map<MsgId, std::shared_ptr<const Message>> messages_;
-  std::map<ChannelKey, std::deque<MsgId>> channels_;  // fifo order per channel
-  /// Blocked links (the partition mask); see cut_link.
-  std::set<LinkKey> blocked_;
-  NetStats stats_;
-  /// Incremental content-multiset accumulator (see content_digest_acc).
-  std::uint64_t content_acc_ = 0;
-  /// dst -> in-flight non-control message count (see inflight_to).
-  /// Rebuilt from the message map on load/restore; zero entries erased.
-  std::map<ProcessId, std::uint64_t> inflight_;
+  /// The in-flight state. Mutable only for the digest caches it carries,
+  /// which const digest() fills lazily.
+  mutable NetSnapshot st_;
   /// Incremental deliverable index (see deliv_index()); mutable for the
   /// lazy rebuild under const accessors, like the digest memos.
   mutable DeliverableIndex deliv_index_;
   mutable bool deliv_valid_ = true;
   mutable std::uint64_t deliv_epoch_ = 0;
   DeliverableListener* listener_ = nullptr;
-  /// Per-channel digest cache; presence of a key == valid.
-  mutable std::map<ChannelKey, std::uint64_t> channel_digest_cache_;
-  mutable std::optional<std::uint64_t> digest_memo_;
   /// The snapshot describing the current state, if one is warm.
   mutable std::shared_ptr<const NetSnapshot> snap_cache_;
 
-  /// Replay-warm message ring (see begin_warm_step). Direct-mapped: the
-  /// slot is the key's low bits, so lookup and insert are one probe; a
-  /// colliding insert simply evicts (sharing degrades, correctness can't —
-  /// reuse requires full equality).
+  /// Replay-warm message ring (see begin_warm_step), refilled first-in
+  /// first-out; an open-addressing index of ring positions (load <= 1/2)
+  /// finds a key without allocating.
   static constexpr std::size_t kWarmRingSlots = 2048;
+  static constexpr std::size_t kWarmIndexSlots = 2 * kWarmRingSlots;
   struct WarmMsgSlot {
     std::uint64_t key = 0;
     std::shared_ptr<const Message> msg;
@@ -513,6 +476,10 @@ class SimNetwork {
   std::uint64_t warm_ordinal_ = 0;
   std::uint64_t warm_hits_ = 0;
   std::vector<WarmMsgSlot> warm_ring_;
+  /// Ring position + 1 per index slot; 0 marks an empty slot.
+  std::vector<std::uint16_t> warm_index_;
+  /// Next ring position to fill (the oldest entry once the ring is full).
+  std::size_t warm_next_ = 0;
 };
 
 }  // namespace fixd::net

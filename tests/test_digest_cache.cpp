@@ -417,8 +417,9 @@ class NetworkDigestCacheParam
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Property: across random submit / deliver / drop / duplicate / mutate /
-// scrub / save-load / snapshot-restore sequences, the cached digest always
-// equals the from-scratch recompute, and live snapshots never drift.
+// scrub / save-load / snapshot-restore / cut / heal / reinject sequences,
+// the cached digest always equals the from-scratch recompute, and live
+// snapshots never drift.
 TEST_P(NetworkDigestCacheParam, RandomOpsMatchUncached) {
   Rng rng(GetParam());
   net::NetworkOptions nopts;
@@ -427,11 +428,25 @@ TEST_P(NetworkDigestCacheParam, RandomOpsMatchUncached) {
   nopts.dup_prob = 0.1;
   nopts.seed = GetParam() * 31 + 7;
   net::SimNetwork net(nopts);
-  std::vector<std::pair<std::shared_ptr<const net::NetSnapshot>,
-                        std::uint64_t>>
-      snaps;
+  // Each live snapshot is stored with what the network reported at
+  // capture, so a restore that loses or reorders any part of the state
+  // (not just the digested part) is caught.
+  struct Capture {
+    std::shared_ptr<const net::NetSnapshot> snap;
+    std::uint64_t digest = 0;
+    std::vector<MsgId> pending_ids;
+    std::vector<MsgId> deliverable;
+    std::vector<net::SimNetwork::LinkKey> blocked;
+    std::uint64_t content_acc = 0;
+  };
+  auto pending_ids = [](const net::SimNetwork& n) {
+    std::vector<MsgId> ids;
+    for (const net::Message* m : n.pending()) ids.push_back(m->id);
+    return ids;
+  };
+  std::vector<Capture> snaps;
   for (int i = 0; i < 250; ++i) {
-    switch (rng.next_below(10)) {
+    switch (rng.next_below(13)) {
       case 0:
       case 1:
       case 2: {
@@ -491,22 +506,48 @@ TEST_P(NetworkDigestCacheParam, RandomOpsMatchUncached) {
       }
       case 9:
         if (snaps.size() < 4 && rng.next_bool(0.5)) {
-          snaps.emplace_back(net.snapshot(), net.digest_uncached());
+          snaps.push_back({net.snapshot(), net.digest_uncached(),
+                           pending_ids(net), net.deliverable(),
+                           net.blocked_links(), net.content_digest_acc()});
         } else if (!snaps.empty()) {
-          net.restore(snaps[rng.next_below(snaps.size())].first);
+          net.restore(snaps[rng.next_below(snaps.size())].snap);
         }
         break;
+      case 10:  // partition a random link (sorted insert into the mask)
+        (void)net.cut_link(static_cast<ProcessId>(rng.next_below(3)),
+                           static_cast<ProcessId>(rng.next_below(3)));
+        break;
+      case 11: {  // heal a random blocked link
+        const auto& blocked = net.blocked_links();
+        if (!blocked.empty()) {
+          const auto [s, d] = blocked[rng.next_below(blocked.size())];
+          (void)net.heal_link(s, d);
+        }
+        break;
+      }
+      case 12: {  // message-logging recovery: re-inject past the policy
+        (void)net.reinject(mk_msg(static_cast<ProcessId>(rng.next_below(3)),
+                                  static_cast<ProcessId>(rng.next_below(3)),
+                                  static_cast<net::Tag>(rng.next_below(5)),
+                                  static_cast<std::uint8_t>(rng.next_u64()),
+                                  1 + rng.next_below(48)));
+        break;
+      }
     }
     ASSERT_EQ(net.digest(), net.digest_uncached()) << "op " << i;
     // The incremental content-multiset accumulator (mc_digest's network
     // share) must track every mutation path exactly like the digest does.
     ASSERT_EQ(net.content_digest_acc(), net.content_digest_acc_uncached())
         << "op " << i;
-    for (const auto& [s, at_capture] : snaps) {
+    for (const Capture& c : snaps) {
       net::SimNetwork probe;
-      probe.restore(s);
-      ASSERT_EQ(probe.digest_uncached(), at_capture)
+      probe.restore(c.snap);
+      ASSERT_EQ(probe.digest_uncached(), c.digest)
           << "snapshot drift at op " << i;
+      ASSERT_EQ(pending_ids(probe), c.pending_ids) << "op " << i;
+      ASSERT_EQ(probe.deliverable(), c.deliverable) << "op " << i;
+      ASSERT_EQ(probe.blocked_links(), c.blocked) << "op " << i;
+      ASSERT_EQ(probe.content_digest_acc(), c.content_acc) << "op " << i;
     }
   }
 }

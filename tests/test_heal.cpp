@@ -172,30 +172,38 @@ TEST(Healer, HeapCarriedAcrossKvUpdate) {
   EXPECT_EQ(w->process(1).version(), 2u);
 }
 
+/// Non-control pending messages bound for `dst`, recounted from pending().
+std::uint64_t recount_inflight(const net::SimNetwork& net, ProcessId dst) {
+  std::uint64_t n = 0;
+  for (const net::Message* m : net.pending()) {
+    if (m->dst == dst && !m->control) ++n;
+  }
+  return n;
+}
+
 TEST(Healer, InflightCounterMatchesOracle) {
-  // The update-point quiescence check reads the network's incremental
-  // per-destination in-flight counter; this walks a real run step by step
-  // and holds the counter to the from-scratch recount at every state.
+  // The update-point quiescence check asks how much non-control traffic
+  // is in flight to a process; this walks a real run step by step and
+  // holds inflight_to to a recount of the pending set at every state.
   auto w = make_counter_world(3, 1, CounterConfig{4});
   w->set_stop_on_violation(false);
   const auto& net = std::as_const(*w).network();
   for (int i = 0; i < 200; ++i) {
     for (ProcessId p = 0; p < w->size(); ++p) {
-      ASSERT_EQ(net.inflight_to(p), net.inflight_to_uncached(p))
+      ASSERT_EQ(net.inflight_to(p), recount_inflight(net, p))
           << "step " << i << " dst p" << p;
     }
     if (!w->step()) break;
   }
   for (ProcessId p = 0; p < w->size(); ++p) {
-    EXPECT_EQ(net.inflight_to(p), net.inflight_to_uncached(p));
+    EXPECT_EQ(net.inflight_to(p), recount_inflight(net, p));
   }
 }
 
 TEST(Healer, InflightCounterMatchesOracleUnderPartitionChurn) {
-  // Partition-suppressed deliveries are deferred, never dropped, so the
-  // O(1) per-destination in-flight counters the update-point check reads
-  // must keep counting traffic a link mask is holding back — and stay
-  // equal to the from-scratch recount through cut/heal churn.
+  // Partition-suppressed deliveries are deferred, never dropped, so
+  // inflight_to must keep counting traffic a link mask is holding back —
+  // and stay equal to the recount through cut/heal churn.
   auto w = make_counter_world(3, 1, CounterConfig{4});
   w->set_stop_on_violation(false);
   const auto& net = std::as_const(*w).network();
@@ -212,7 +220,7 @@ TEST(Healer, InflightCounterMatchesOracleUnderPartitionChurn) {
     }
     if (i == 17) w->model_heal_link(2, 1);
     for (ProcessId p = 0; p < w->size(); ++p) {
-      ASSERT_EQ(net.inflight_to(p), net.inflight_to_uncached(p))
+      ASSERT_EQ(net.inflight_to(p), recount_inflight(net, p))
           << "step " << i << " dst p" << p;
     }
     for (const net::Message* m : net.pending()) {
@@ -221,7 +229,7 @@ TEST(Healer, InflightCounterMatchesOracleUnderPartitionChurn) {
     if (!w->step()) break;
   }
   for (ProcessId p = 0; p < w->size(); ++p) {
-    EXPECT_EQ(net.inflight_to(p), net.inflight_to_uncached(p));
+    EXPECT_EQ(net.inflight_to(p), recount_inflight(net, p));
   }
   // The schedule really did hold traffic behind a cut at some point, and
   // every cut was healed — nothing was lost along the way.

@@ -534,10 +534,10 @@ struct GoldenRow {
 
 SysExploreOptions golden_opts(const ModelCase& mc, const GoldenRow& row) {
   auto o = differential_opts(row.order, row.trail, 1);
-  // Replay warming is off: its message ring is keyed from process-wide
-  // snapshot serials, so which messages a trail replay shares — and with
-  // it the trail-mode peak_frontier_bytes — depends on what the process
-  // ran before. Nothing else pinned here depends on warming.
+  // Replay warming is off, so the pinned trail-mode peak_frontier_bytes
+  // measure the cold frontier. Warm sharing is history-independent (see
+  // ReplayWarmExplorerHistory in test_replay_warm.cpp) but would pin the
+  // ring's retention policy here too. Nothing else pinned depends on it.
   o.install_invariants = [installer = mc.installer](rt::World& world) {
     installer(world);
     world.set_replay_warm(false);

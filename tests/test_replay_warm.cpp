@@ -305,6 +305,38 @@ TEST_P(ReplayWarmExplorer, WarmAndColdExploreIdenticalStateSets) {
   }
 }
 
+// The message ring keys messages by replay keys seeded from process-wide
+// snapshot serials. Sharing must depend only on which keys repeat, not on
+// their bit patterns, so an unrelated search in between cannot change a
+// warm trail search's retained frontier.
+TEST(ReplayWarmExplorerHistory, TrailPeakIndependentOfEarlierSearches) {
+  auto trail_peak = [] {
+    TwoPcConfig cfg;
+    cfg.total_txns = 1;
+    auto w = make_two_pc_world(5, 2, cfg);
+    SysExploreOptions o;
+    o.order = SearchOrder::kBfs;
+    o.trail_frontier = true;
+    o.install_invariants = apps::install_two_pc_invariants;
+    SystemExplorer ex(*w, o);
+    auto r = ex.explore();
+    EXPECT_FALSE(r.stats.truncated);
+    return r.stats.peak_frontier_bytes;
+  };
+  const std::uint64_t first = trail_peak();
+
+  // Unrelated snapshot-mode search: it only advances the snapshot serials.
+  TwoPcConfig small;
+  small.total_txns = 1;
+  auto w3 = make_two_pc_world(3, 2, small);
+  SysExploreOptions o3;
+  o3.order = SearchOrder::kBfs;
+  o3.install_invariants = apps::install_two_pc_invariants;
+  SystemExplorer(*w3, o3).explore();
+
+  EXPECT_EQ(trail_peak(), first);
+}
+
 INSTANTIATE_TEST_SUITE_P(Matrix, ReplayWarmExplorer,
                          ::testing::Combine(::testing::Values(0, 1),
                                             ::testing::Bool(),
